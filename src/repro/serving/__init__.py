@@ -42,6 +42,11 @@ Layering — who knows what:
     only), and ``TraceGenerator.generate_stream`` feeds
     ``ServingSimulator.simulate_stream`` arrivals in O(chunk) memory —
     byte-identical to ``generate`` under every trace curve.
+:mod:`repro.serving.metrics`
+    :class:`ServingMetrics` / :class:`ClusterMetrics` and the one reducer
+    both engines and the cluster build them with: completion columns to
+    latency/TTFT/TPOT percentiles, throughput and SLO attainment, plus
+    one declared pooling rule per field across replicas.
 :mod:`repro.serving.validate`
     :func:`check_invariants`: replays a recorded event log against the
     trace and reports scheduling-invariant violations (``repro serve

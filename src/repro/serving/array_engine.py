@@ -66,9 +66,9 @@ from repro.serving.request import Request, RequestMetrics
 from repro.serving.simulator import (
     FcfsPolicy,
     PriorityPolicy,
-    ServingMetrics,
     SimEvent,
     SrptPolicy,
+    _RunBase,
 )
 
 __all__ = ["ArraySimulationRun"]
@@ -124,19 +124,13 @@ class _KvPool:
         return 0
 
 
-class ArraySimulationRun:
+class ArraySimulationRun(_RunBase):
     """Columnar drop-in for :class:`~repro.serving.simulator.SimulationRun`."""
 
     #: Master switch for the arrival-batched underload fast path.  Class
     #: level so tests (and the differential harness) can pin the exact
     #: per-arrival reference path with a subclass or instance override.
     arrival_batching = True
-
-    #: Use ``np.searchsorted`` for the burst runner's lone-request budget
-    #: bisect (byte-identical to the scalar bisect — the prefix-sum
-    #: differences are the same IEEE subtractions; the suite pins it).
-    #: Instance-overridable so the pin can run both paths.
-    vector_bisect = True
 
     def __init__(
         self,
@@ -257,7 +251,7 @@ class ArraySimulationRun:
         self.recomputed_tokens = 0
         self.swap_outs = 0
         self.swap_ins = 0
-        self.swapped_pages_total = 0
+        self.swapped_pages = 0
         self.offered = 0
         self._outstanding = 0
         self.first_arrival: "float | None" = None
@@ -317,7 +311,7 @@ class ArraySimulationRun:
                 {} if self._base is None else {sim.model.name: self._base}
             )
             self._chunks_by_model = {sim.model.name: self._chunk_costs}
-            self._model_names = tuple(member.name for member in sim.models)
+            self._model_names = sim._model_names
             self._model_pos = {
                 name: position
                 for position, name in enumerate(self._model_names)
@@ -727,35 +721,6 @@ class ArraySimulationRun:
         )
 
     # ------------------------------------------------------------------
-    # Event emission (identical shape to the object engine's)
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        kind: str,
-        latency: float = 0.0,
-        request_id: "int | None" = None,
-        tokens: int = 0,
-        decode_ids: tuple = (),
-        model: str = "",
-    ) -> None:
-        if self.events is not None:
-            self.events.append(
-                SimEvent(
-                    kind=kind,
-                    clock_s=self.clock,
-                    latency_s=latency,
-                    request_id=request_id,
-                    tokens=tokens,
-                    decode_ids=decode_ids,
-                    active=len(self.active),
-                    waiting=len(self.waiting),
-                    kv_reserved_pages=self.kv.reserved_pages,
-                    kv_total_pages=self.kv.total_pages,
-                    model=model,
-                )
-            )
-
-    # ------------------------------------------------------------------
     # Policy decisions, re-derived over columns (bit-equal: integer keys)
     # ------------------------------------------------------------------
     def _admit_index(self, waiting: "deque[int]") -> int:
@@ -1140,7 +1105,7 @@ class ArraySimulationRun:
         if self._generated[row] == 0:
             self._num_prefilling += 1
         self.swap_ins += 1
-        self.swapped_pages_total += pages
+        self.swapped_pages += pages
         if len(self.active) > self.peak_active:
             self.peak_active = len(self.active)
         self._emit("swap_in", latency=latency, request_id=request_id, tokens=pages)
@@ -1158,7 +1123,7 @@ class ArraySimulationRun:
         self.busy += latency
         self.swapped.append(victim)
         self.swap_outs += 1
-        self.swapped_pages_total += pages
+        self.swapped_pages += pages
         if self.swap_outs > 50 * max(self.offered, 1):  # pragma: no cover
             raise RuntimeError(
                 f"swap livelock: {self.swap_outs} swap-outs over "
@@ -1194,10 +1159,6 @@ class ArraySimulationRun:
         self._requeue(victim)
         self._emit("preempt", request_id=request_id, tokens=pages)
 
-    def _swap_latency(self, pages: int) -> float:
-        """Transfer time of ``pages`` KV pages over the host link."""
-        return pages * self.kv.page_bytes * 8.0 / (self.sim.link_gbps * 1e9)
-
     def _release_pages(self, row: int) -> None:
         """Return a completed/failed row's pages to the pool (both modes)."""
         if self._exact_kv:
@@ -1210,10 +1171,6 @@ class ArraySimulationRun:
     # Multi-model residency (mirror of the object engine's sticky-resident
     # scheduling; only reached when the simulator hosts a model set)
     # ------------------------------------------------------------------
-    def _model_of_row(self, row: int) -> str:
-        """The model a row runs on ("" in a request means the default)."""
-        return self._mdl[row] or self.sim.model.name
-
     def _sync_model(self) -> None:
         """Swap weights when no resident-model work is runnable."""
         resident = self.resident_model
@@ -1240,22 +1197,13 @@ class ArraySimulationRun:
         so a non-default resident stands it down and prices through its
         own provider, and the base/chunk caches follow the weights.
         """
-        sim = self.sim
-        moved = sim._weight_bytes[target]
-        latency = moved * 8.0 / (sim.link_gbps * 1e9)
-        self.clock += latency
-        self.busy += latency
-        self.resident_model = target
-        self._provider = sim.providers[target]
-        self.model_swaps += 1
-        self.model_swap_s += latency
-        if target == sim.model.name:
+        super()._swap_model(target)
+        if target == self.sim.model.name:
             self._tbl_lo, self._tbl_hi = self._tbl_bounds
         else:
             self._tbl_lo, self._tbl_hi = 1, 0
         self._base = self._bases.get(target)
         self._chunk_costs = self._chunks_by_model.setdefault(target, {})
-        self._emit("model_swap", latency=latency, tokens=moved, model=target)
 
     def _step(self) -> None:
         """One device iteration — the per-iteration (bit-exact) path."""
@@ -2043,7 +1991,7 @@ class ArraySimulationRun:
                 if budget is None or arrival_budget < budget:
                     budget = arrival_budget
             if budget is not None and steps * batch_size * lat_max >= budget:
-                if batch_size == 1 and self.vector_bisect:
+                if batch_size == 1:
                     # Lone request: shared_lat is exactly 0.0, so
                     # elapsed(j) is the plain prefix-sum difference
                     # plat[off + j] - plat[off] and the scalar bisect's
@@ -2298,155 +2246,31 @@ class ArraySimulationRun:
                 )
         self._free.append(row)
 
-    def finish(self) -> ServingMetrics:
-        """Drain all remaining work and return the run's metrics."""
-        if self.finished:
-            raise ValueError("finish() called twice on the same run")
-        self.advance_until(None)
-        self.finished = True
-        makespan = (
-            self.clock - self.first_arrival if self.first_arrival is not None else 0.0
-        )
-        if self.sim.profile:
-            start = perf_counter()
-            metrics = self._finalize(makespan)
-            self.phase_s["metrics"] += perf_counter() - start
-            return metrics
-        return self._finalize(makespan)
+    def completion_columns(self) -> dict:
+        """Completion columns of the finished requests (metric pooling).
 
-    def _finalize(self, makespan: float) -> ServingMetrics:
-        if self._detail:
-            self.completed.sort(key=lambda metrics: metrics.request_id)
-            return self.sim._finalize(self, makespan)
-        return self._finalize_pooled(makespan)
-
-    def _finalize_pooled(self, makespan: float) -> ServingMetrics:
-        """Pool metrics straight from the completion columns (numpy).
-
-        Same aggregate formulas as ``ServingSimulator._finalize``
-        (including the percentile interpolation rule) without building a
-        :class:`RequestMetrics` per request — at 1e6 requests that object
-        churn costs more than the simulation itself.
+        Pooled-only runs hand over their typed completion columns, so no
+        :class:`RequestMetrics` is ever built per request — at 1e6
+        requests that object churn costs more than the simulation.
         """
-        import numpy as np
-
-        sim = self.sim
-        arrival = np.asarray(self._done_arrival)
-        first = np.asarray(self._done_first)
-        completion = np.asarray(self._done_completion)
-        out = np.asarray(self._done_out)
-        count = int(arrival.size)
-        latencies = completion - arrival
-        ttfts = first - arrival
-        multi = out > 1
-        tpots = (
-            (completion[multi] - first[multi]) / (out[multi] - 1)
-            if count
-            else np.empty(0)
+        if self._detail:
+            return super().completion_columns()
+        columns = dict(
+            arrival=self._done_arrival,
+            first=self._done_first,
+            completion=self._done_completion,
+            out=self._done_out,
         )
-        output_tokens = int(out.sum()) if count else 0
-
-        def pooled_mean(values) -> float:
-            return float(values.mean()) if values.size else 0.0
-
-        def pooled_percentile(values, q: float) -> float:
-            if not values.size:
-                return 0.0
-            ordered = np.sort(values)
-            position = q / 100.0 * (ordered.size - 1)
-            lower = int(position)
-            upper = min(lower + 1, ordered.size - 1)
-            weight = position - lower
-            return float(
-                ordered[lower] + weight * (ordered[upper] - ordered[lower])
+        if self._done_cls is not None:
+            classes = np.asarray(self._done_cls)
+            targets = np.asarray(self.sim.slo_targets, dtype=np.float64)
+            columns.update(
+                classes=classes,
+                slo=targets[np.minimum(classes, len(targets) - 1)],
             )
-
-        slo_attainment: "float | None" = None
-        slo_by_class: dict[str, float] = {}
-        slo_by_model_class: dict[str, float] = {}
-        if sim.slo_targets is not None:
-            if count:
-                classes = np.asarray(self._done_cls)
-                targets = np.asarray(sim.slo_targets, dtype=np.float64)
-                slo = targets[np.minimum(classes, len(targets) - 1)]
-                met = latencies <= slo
-                slo_attainment = float(met.mean())
-                slo_by_class = {
-                    str(int(cls)): float(met[classes == cls].mean())
-                    for cls in np.unique(classes)
-                }
-                if self._done_mdl is not None:
-                    names = self._model_names
-                    model_idx = np.asarray(self._done_mdl)
-                    pairs = sorted(
-                        {
-                            (names[int(m)], int(c))
-                            for m, c in zip(model_idx, classes)
-                        }
-                    )
-                    slo_by_model_class = {
-                        f"{name}/{cls}": float(
-                            met[
-                                (model_idx == self._model_pos[name])
-                                & (classes == cls)
-                            ].mean()
-                        )
-                        for name, cls in pairs
-                    }
-            else:
-                slo_attainment = 1.0
-
-        ordered_latencies = np.sort(latencies)
-        ordered_ttfts = np.sort(ttfts)
-        kv = self.kv
-        decode_passes = self.decode_passes
-        return ServingMetrics(
-            backend=sim.cost_model.name,
-            model=sim.model.name,
-            policy=sim.policy.name,
-            num_requests=count,
-            makespan_s=makespan,
-            busy_s=self.busy,
-            utilization=self.busy / makespan if makespan > 0 else 0.0,
-            output_tokens=output_tokens,
-            tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=count / makespan if makespan > 0 else 0.0,
-            latency_mean_s=pooled_mean(latencies),
-            latency_p50_s=pooled_percentile(ordered_latencies, 50.0),
-            latency_p99_s=pooled_percentile(ordered_latencies, 99.0),
-            ttft_mean_s=pooled_mean(ttfts),
-            ttft_p50_s=pooled_percentile(ordered_ttfts, 50.0),
-            ttft_p99_s=pooled_percentile(ordered_ttfts, 99.0),
-            tpot_mean_s=pooled_mean(tpots),
-            energy_j=self.energy.total_j,
-            flops=self.flops,
-            prefill_passes=self.prefill_passes,
-            decode_passes=decode_passes,
-            mean_decode_batch=(
-                self.decode_tokens / decode_passes if decode_passes else 0.0
-            ),
-            admission=sim.admission,
-            admissions=self.admissions,
-            peak_active=self.peak_active,
-            preemptions=self.preemptions,
-            recomputed_tokens=self.recomputed_tokens,
-            swap_outs=self.swap_outs,
-            swap_ins=self.swap_ins,
-            swapped_pages=self.swapped_pages_total,
-            link_gbps=sim.link_gbps if sim.swap else 0.0,
-            chunk_tokens=sim.chunk_tokens,
-            kv_page_tokens=kv.page_tokens,
-            kv_pages_total=kv.total_pages,
-            kv_peak_pages=kv.peak_reserved_pages,
-            kv_budget_bytes=kv.budget_bytes,
-            slo_attainment=slo_attainment,
-            slo_by_class=slo_by_class,
-            models=self._model_names if self._multi else (),
-            model_swaps=self.model_swaps,
-            model_swap_s=self.model_swap_s,
-            slo_by_model_class=slo_by_model_class,
-            per_request=(),
-        )
+        if self._done_mdl is not None:
+            columns.update(model=self._done_mdl, model_names=self._model_names)
+        return columns
 
     # ------------------------------------------------------------------
     # Failure injection and failover (driven by the cluster layer)
@@ -2488,17 +2312,6 @@ class ArraySimulationRun:
         self._emit("fail", tokens=pages, decode_ids=dropped_ids)
         return lost, pages
 
-    def recover(self, now: float) -> None:
-        """Bring a failed replica back (empty: its KV cache did not survive)."""
-        if self.finished:
-            raise ValueError("cannot recover a finished run")
-        if not self.dead:
-            raise ValueError("cannot recover a replica that is not dead")
-        self.dead = False
-        if now > self.clock:
-            self.clock = now
-        self._emit("recover")
-
     def resubmit(self, request: Request) -> None:
         """Re-inject a failed-over request for recompute from scratch."""
         if self.finished:
@@ -2512,18 +2325,3 @@ class ArraySimulationRun:
         self._outstanding += request.input_tokens + request.output_tokens
         if self.first_arrival is None or request.arrival_s < self.first_arrival:
             self.first_arrival = request.arrival_s
-
-    def catch_up(self, now: float) -> None:
-        """Jump an idle replica's clock forward to ``now``."""
-        if (
-            now > self.clock
-            and not self.active
-            and not self.waiting
-            and not self.swapped
-        ):
-            self.clock = now
-            self._emit("idle")
-
-    def note_scale(self, delta: int) -> None:
-        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
-        self._emit("scale", tokens=delta)

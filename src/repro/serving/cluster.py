@@ -68,7 +68,7 @@ ops layer is inert and the run is byte-identical to the plain cluster.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.costmodel import CostModel
@@ -80,14 +80,13 @@ from repro.serving.autoscale import (
     replica_warmup_s,
 )
 from repro.serving.failures import FailureSchedule, make_failure_schedule
+from repro.serving.metrics import ClusterMetrics, ServingMetrics, pool_replicas
 from repro.serving.request import Request, RequestMetrics
 from repro.serving.simulator import (
-    ServingMetrics,
     ServingSimulator,
     SimulationRun,
     _decode_kv_bounds,
     _validated_construct,
-    percentile,
 )
 from repro.serving.validate import check_cluster_invariants, check_invariants
 
@@ -284,209 +283,6 @@ def cluster_kv_peak(event_logs: "Sequence[Sequence]") -> int:
 
 
 # ----------------------------------------------------------------------
-# Pooled metrics
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ClusterMetrics:
-    """Pooled metrics of one cluster simulation (plus per-replica detail)."""
-
-    backend: str
-    model: str
-    policy: str
-    router: str
-    admission: str
-    num_replicas: int
-    num_requests: int
-    makespan_s: float
-    busy_s: float
-    utilization: float
-    output_tokens: int
-    tokens_per_s: float
-    requests_per_s: float
-    latency_mean_s: float
-    latency_p50_s: float
-    latency_p99_s: float
-    ttft_mean_s: float
-    ttft_p50_s: float
-    ttft_p99_s: float
-    tpot_mean_s: float
-    energy_j: float
-    flops: float
-    admissions: int
-    peak_active: int
-    preemptions: int
-    recomputed_tokens: int
-    #: Requests / tokens routed to each replica, in replica order.
-    routed_requests: tuple[int, ...]
-    routed_tokens: tuple[int, ...]
-    #: max/min routed tokens over the replicas that received at least one
-    #: request (1.0 when fewer than two replicas did).
-    load_imbalance: float
-    #: Cluster-wide instantaneous KV peak (summed across replicas).
-    kv_peak_pages: int
-    kv_pages_total: int
-    slo_attainment: "float | None" = None
-    slo_by_class: dict = field(default_factory=dict)
-    #: Production-ops accounting (inert defaults when no failure schedule
-    #: or autoscaler was configured).
-    failure_schedule: str = "none"
-    autoscaler: str = "fixed"
-    failures: int = 0
-    recoveries: int = 0
-    rerouted_requests: int = 0
-    dropped_kv_pages: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
-    #: Summed alive time across replicas — the fleet's energy/cost proxy.
-    replica_seconds: float = 0.0
-    peak_replicas: int = 0
-    #: Modeled warm-up a spawned replica pays before serving.
-    warmup_s: float = 0.0
-    #: Names of the co-hosted model set; empty for single-model clusters
-    #: (the pre-multi-model representation is preserved byte for byte).
-    models: tuple = ()
-    #: Weight swaps paid across replicas when active models changed.
-    model_swaps: int = 0
-    #: Summed simulated seconds replicas spent streaming model weights.
-    model_swap_s: float = 0.0
-    #: Pooled per-(model, class) SLO attainment, keyed ``"model/class"`` —
-    #: populated only for multi-model clusters with SLO targets.
-    slo_by_model_class: dict = field(default_factory=dict)
-    per_replica: tuple[ServingMetrics, ...] = field(default_factory=tuple)
-    per_request: tuple[RequestMetrics, ...] = field(default_factory=tuple)
-
-    def to_dict(
-        self, include_requests: bool = True, include_replicas: bool = True
-    ) -> dict:
-        """JSON-stable representation (reports and determinism tests)."""
-        data = {
-            "backend": self.backend,
-            "model": self.model,
-            "policy": self.policy,
-            "router": self.router,
-            "admission": self.admission,
-            "num_replicas": self.num_replicas,
-            "num_requests": self.num_requests,
-            "makespan_s": self.makespan_s,
-            "busy_s": self.busy_s,
-            "utilization": self.utilization,
-            "output_tokens": self.output_tokens,
-            "tokens_per_s": self.tokens_per_s,
-            "requests_per_s": self.requests_per_s,
-            "latency_mean_s": self.latency_mean_s,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "ttft_mean_s": self.ttft_mean_s,
-            "ttft_p50_s": self.ttft_p50_s,
-            "ttft_p99_s": self.ttft_p99_s,
-            "tpot_mean_s": self.tpot_mean_s,
-            "energy_j": self.energy_j,
-            "flops": self.flops,
-            "admissions": self.admissions,
-            "peak_active": self.peak_active,
-            "preemptions": self.preemptions,
-            "recomputed_tokens": self.recomputed_tokens,
-            "routed_requests": list(self.routed_requests),
-            "routed_tokens": list(self.routed_tokens),
-            "load_imbalance": self.load_imbalance,
-            "kv_peak_pages": self.kv_peak_pages,
-            "kv_pages_total": self.kv_pages_total,
-            "slo_attainment": self.slo_attainment,
-            "slo_by_class": self.slo_by_class,
-            "failure_schedule": self.failure_schedule,
-            "autoscaler": self.autoscaler,
-            "failures": self.failures,
-            "recoveries": self.recoveries,
-            "rerouted_requests": self.rerouted_requests,
-            "dropped_kv_pages": self.dropped_kv_pages,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "replica_seconds": self.replica_seconds,
-            "peak_replicas": self.peak_replicas,
-            "warmup_s": self.warmup_s,
-        }
-        if len(self.models) > 1:
-            # Multi-model keys appear only for real model sets, so a
-            # single-model cluster's dict matches the pre-multi-model
-            # layout.
-            data["models"] = list(self.models)
-            data["model_swaps"] = self.model_swaps
-            data["model_swap_s"] = self.model_swap_s
-            data["slo_by_model_class"] = self.slo_by_model_class
-        if include_replicas:
-            data["per_replica"] = [
-                metrics.to_dict(include_requests=False)
-                for metrics in self.per_replica
-            ]
-        if include_requests:
-            data["per_request"] = [metrics.to_dict() for metrics in self.per_request]
-        return data
-
-    def summary(self) -> str:
-        """Multi-line human-readable summary (``repro serve`` prints this)."""
-        routed = ", ".join(
-            f"r{index}: {count} req / {tokens} tok"
-            for index, (count, tokens) in enumerate(
-                zip(self.routed_requests, self.routed_tokens)
-            )
-        )
-        imbalance = f"{self.load_imbalance:.2f}x"
-        lines = [
-            f"cluster         : {self.num_replicas} x {self.backend} "
-            f"(router {self.router}, {self.admission} admission)",
-            f"model           : {self.model}",
-            f"policy          : {self.policy}",
-            f"requests        : {self.num_requests} "
-            f"({self.output_tokens} output tokens)",
-            f"routing         : {routed} (imbalance {imbalance})",
-            f"makespan        : {self.makespan_s:.3f} s "
-            f"(summed busy {self.busy_s:.3f} s, {self.utilization:.0%} utilized)",
-            f"throughput      : {self.tokens_per_s:.1f} tokens/s, "
-            f"{self.requests_per_s:.2f} requests/s",
-            f"latency         : mean {self.latency_mean_s * 1e3:.1f} ms, "
-            f"p50 {self.latency_p50_s * 1e3:.1f} ms, "
-            f"p99 {self.latency_p99_s * 1e3:.1f} ms",
-            f"TTFT            : mean {self.ttft_mean_s * 1e3:.1f} ms, "
-            f"p99 {self.ttft_p99_s * 1e3:.1f} ms",
-            f"TPOT            : mean {self.tpot_mean_s * 1e3:.3f} ms/token",
-            f"admission       : {self.admissions} admits, "
-            f"peak {self.peak_active} in flight, "
-            f"{self.preemptions} preemptions "
-            f"({self.recomputed_tokens} tokens recomputed)",
-            f"cluster KV peak : {self.kv_peak_pages}/{self.kv_pages_total} "
-            "pages (summed across replicas)",
-            f"dynamic energy  : {self.energy_j * 1e3:.1f} mJ",
-        ]
-        if len(self.models) > 1:
-            lines.append(
-                f"model set       : {', '.join(self.models)} "
-                f"({self.model_swaps} weight swaps, "
-                f"{self.model_swap_s:.3f} s streaming)"
-            )
-        if self.failure_schedule != "none" or self.autoscaler != "fixed":
-            lines.append(
-                f"ops             : {self.failures} failure(s) "
-                f"({self.rerouted_requests} rerouted, "
-                f"{self.dropped_kv_pages} pages dropped), "
-                f"{self.recoveries} recovery(ies), "
-                f"+{self.scale_ups}/-{self.scale_downs} scale, "
-                f"{self.replica_seconds:.3f} replica-s "
-                f"(peak {self.peak_replicas} replicas, "
-                f"warm-up {self.warmup_s * 1e3:.1f} ms)"
-            )
-        if self.slo_attainment is not None:
-            by_class = ", ".join(
-                f"class {cls}: {attained:.0%}"
-                for cls, attained in self.slo_by_class.items()
-            )
-            lines.append(
-                f"SLO attainment  : {self.slo_attainment:.0%}"
-                + (f" ({by_class})" if by_class else "")
-            )
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
 # Cluster simulator
 # ----------------------------------------------------------------------
 def _snapshot(
@@ -568,8 +364,8 @@ class _OpsState:
         self.recoveries = 0
         self.scale_ups = 0
         self.scale_downs = 0
-        self.rerouted = 0
-        self.dropped_pages = 0
+        self.rerouted_requests = 0
+        self.dropped_kv_pages = 0
         self.peak_replicas = count
         self._has_slo = bool(cluster.replicas[0].slo_targets)
 
@@ -606,7 +402,7 @@ class _OpsState:
         lost, pages = run.fail(event.time_s)
         self.alive[index] = False
         self.failures += 1
-        self.dropped_pages += pages
+        self.dropped_kv_pages += pages
         # Billed until the straddling pass ended (run.clock >= fail time).
         self._close_segment(index, run.clock)
         if not lost:
@@ -661,7 +457,7 @@ class _OpsState:
             self.runs[choice].resubmit(request)
             self.assignments[choice].append(request)
             self.routed_tokens[choice] += request.total_tokens
-            self.rerouted += 1
+            self.rerouted_requests += 1
 
     def _recover(self, event) -> None:
         index = event.replica
@@ -774,8 +570,9 @@ class _OpsState:
             self.seconds[index] += max(0.0, end - begin)
             self.open_clock[index] = None
 
-    def close_out(self, global_end: float) -> None:
-        """Close every open billing segment at the end of the run."""
+    def report(self, global_end: float) -> dict:
+        """Close every open billing segment at the end of the run and
+        return the ops fields of :class:`~repro.serving.metrics.ClusterMetrics`."""
         for index in range(len(self.runs)):
             if self.open_clock[index] is None:
                 continue
@@ -785,6 +582,16 @@ class _OpsState:
             else:
                 end = global_end
             self._close_segment(index, end)
+        return dict(
+            failures=self.failures,
+            recoveries=self.recoveries,
+            rerouted_requests=self.rerouted_requests,
+            dropped_kv_pages=self.dropped_kv_pages,
+            scale_ups=self.scale_ups,
+            scale_downs=self.scale_downs,
+            replica_seconds=sum(self.seconds),
+            peak_replicas=self.peak_replicas,
+        )
 
 
 class ClusterSimulator:
@@ -1154,6 +961,7 @@ class ClusterSimulator:
         routed_tokens: "list[int]",
         ops: "_OpsState | None" = None,
     ) -> ClusterMetrics:
+        """Pool the replicas' metrics field by field (see ``POOLING``)."""
         pooled: list[RequestMetrics] = sorted(
             (
                 request_metrics
@@ -1167,7 +975,6 @@ class ClusterSimulator:
         if pooled and ordered:
             last_completion = max(m.completion_s for m in pooled)
             makespan = last_completion - ordered[0].arrival_s
-        busy = sum(metrics.busy_s for metrics in per_replica)
         # One definition of utilization for both paths: summed busy over
         # summed provisioned replica-seconds.  The paths differ only in
         # where replica_seconds comes from — metered billing segments
@@ -1175,56 +982,18 @@ class ClusterSimulator:
         # inert schedule meters to exactly R x makespan, so the two
         # agree wherever both apply).
         if ops is not None:
-            ops.close_out(last_completion)
-            replica_seconds = sum(ops.seconds)
-            peak_replicas = ops.peak_replicas
+            fleet = ops.report(last_completion)
         else:
-            replica_seconds = len(per_replica) * makespan
-            peak_replicas = len(per_replica)
-        utilization = busy / replica_seconds if replica_seconds > 0 else 0.0
-        output_tokens = sum(metrics.output_tokens for metrics in per_replica)
-        latencies = [metrics.latency_s for metrics in pooled]
-        ttfts = [metrics.ttft_s for metrics in pooled]
-        tpots = [metrics.tpot_s for metrics in pooled if metrics.output_tokens > 1]
-        mean = lambda values: sum(values) / len(values) if values else 0.0  # noqa: E731
-        scored = [metrics for metrics in pooled if metrics.slo_s > 0.0]
-        models = per_replica[0].models
-        slo_attainment: "float | None" = None
-        slo_by_class: dict[str, float] = {}
-        slo_by_model_class: dict[str, float] = {}
-        if any(metrics.slo_attainment is not None for metrics in per_replica):
-            if scored:
-                slo_attainment = mean([1.0 if m.slo_met else 0.0 for m in scored])
-                slo_by_class = {
-                    str(cls): mean(
-                        [
-                            1.0 if m.slo_met else 0.0
-                            for m in scored
-                            if m.priority_class == cls
-                        ]
-                    )
-                    for cls in sorted({m.priority_class for m in scored})
-                }
-                if len(models) > 1:
-                    pairs = sorted(
-                        {
-                            (m.model or self.model.name, m.priority_class)
-                            for m in scored
-                        }
-                    )
-                    slo_by_model_class = {
-                        f"{name}/{cls}": mean(
-                            [
-                                1.0 if m.slo_met else 0.0
-                                for m in scored
-                                if (m.model or self.model.name) == name
-                                and m.priority_class == cls
-                            ]
-                        )
-                        for name, cls in pairs
-                    }
-            else:
-                slo_attainment = 1.0
+            fleet = dict(
+                replica_seconds=len(per_replica) * makespan,
+                peak_replicas=len(per_replica),
+            )
+        if self.events is not None and all(
+            events is not None for events in self.events
+        ):
+            kv_peak = cluster_kv_peak(self.events)
+        else:
+            kv_peak = sum(metrics.kv_peak_pages for metrics in per_replica)
         # Imbalance is a skew ratio over the replicas that actually
         # participated in routing.  A replica that never received an
         # arrival (spawned after the trace drained, or dead before its
@@ -1235,69 +1004,30 @@ class ClusterSimulator:
             imbalance = 1.0
         else:
             imbalance = max(routed_nonzero) / min(routed_nonzero)
-        if self.events is not None and all(
-            events is not None for events in self.events
-        ):
-            kv_peak = cluster_kv_peak(self.events)
-        else:
-            kv_peak = sum(metrics.kv_peak_pages for metrics in per_replica)
         return ClusterMetrics(
-            backend=self.cost_model.name,
-            model=self.model.name,
-            policy=per_replica[0].policy,
-            router=self.router.name,
-            admission=per_replica[0].admission,
-            num_replicas=len(per_replica),
-            num_requests=len(pooled),
-            makespan_s=makespan,
-            busy_s=busy,
-            utilization=utilization,
-            output_tokens=output_tokens,
-            tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=len(pooled) / makespan if makespan > 0 else 0.0,
-            latency_mean_s=mean(latencies),
-            latency_p50_s=percentile(latencies, 50.0),
-            latency_p99_s=percentile(latencies, 99.0),
-            ttft_mean_s=mean(ttfts),
-            ttft_p50_s=percentile(ttfts, 50.0),
-            ttft_p99_s=percentile(ttfts, 99.0),
-            tpot_mean_s=mean(tpots),
-            energy_j=sum(metrics.energy_j for metrics in per_replica),
-            flops=sum(metrics.flops for metrics in per_replica),
-            admissions=sum(metrics.admissions for metrics in per_replica),
-            peak_active=sum(metrics.peak_active for metrics in per_replica),
-            preemptions=sum(metrics.preemptions for metrics in per_replica),
-            recomputed_tokens=sum(
-                metrics.recomputed_tokens for metrics in per_replica
+            **pool_replicas(
+                per_replica,
+                pooled,
+                makespan=makespan,
+                replica_seconds=fleet["replica_seconds"],
+                kv_peak_pages=kv_peak,
+                default_model=self.model.name,
             ),
+            **fleet,
+            router=self.router.name,
+            num_replicas=len(per_replica),
             routed_requests=tuple(
                 metrics.num_requests for metrics in per_replica
             ),
             routed_tokens=tuple(routed_tokens),
             load_imbalance=imbalance,
-            kv_peak_pages=kv_peak,
-            kv_pages_total=sum(metrics.kv_pages_total for metrics in per_replica),
-            slo_attainment=slo_attainment,
-            slo_by_class=slo_by_class,
             failure_schedule=(
                 self.failures.name if self.failures is not None else "none"
             ),
             autoscaler=(
                 self.autoscaler.name if self.autoscaler is not None else "fixed"
             ),
-            failures=ops.failures if ops is not None else 0,
-            recoveries=ops.recoveries if ops is not None else 0,
-            rerouted_requests=ops.rerouted if ops is not None else 0,
-            dropped_kv_pages=ops.dropped_pages if ops is not None else 0,
-            scale_ups=ops.scale_ups if ops is not None else 0,
-            scale_downs=ops.scale_downs if ops is not None else 0,
-            replica_seconds=replica_seconds,
-            peak_replicas=peak_replicas,
             warmup_s=self._warmup_s,
-            models=models,
-            model_swaps=sum(metrics.model_swaps for metrics in per_replica),
-            model_swap_s=sum(metrics.model_swap_s for metrics in per_replica),
-            slo_by_model_class=slo_by_model_class,
             per_replica=per_replica,
             per_request=tuple(pooled),
         )

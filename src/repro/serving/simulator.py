@@ -139,7 +139,7 @@ from __future__ import annotations
 import bisect
 import inspect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
@@ -149,6 +149,12 @@ from repro.models.flops import model_weight_bytes
 from repro.models.transformer import ModelConfig
 from repro.models.workload import Stage, StagePass
 from repro.serving.kv_memory import DEFAULT_PAGE_TOKENS, KvPageAccountant
+from repro.serving.metrics import (
+    ServingMetrics,
+    percentile,
+    pool_completions,
+    row_columns,
+)
 from repro.serving.request import Request, RequestMetrics
 from repro.serving.validate import SimEvent
 
@@ -178,38 +184,15 @@ ADMISSION_MODES = ("worst-case", "optimistic")
 #: object-graph loop, and the vectorized array core behind the same API.
 ENGINES = ("object", "array")
 
+#: ServingMetrics fields both engines' runs keep under the same name.
+_RUN_COUNTERS = (
+    "flops", "prefill_passes", "decode_passes", "admissions", "peak_active",
+    "preemptions", "recomputed_tokens", "swap_outs", "swap_ins",
+    "swapped_pages", "model_swaps", "model_swap_s",
+)
+
 #: Default number of KV-length anchors of the interpolating provider.
 DEFAULT_KV_SAMPLES = 9
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile with linear interpolation between ranks.
-
-    Deterministic and dependency-free (no numpy): sort, place ``q`` on the
-    ``(n - 1)``-step rank axis, interpolate between the two bracketing
-    order statistics.
-    """
-    if not values:
-        return 0.0
-    return _percentile_sorted(sorted(values), q)
-
-
-def _percentile_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` over an already-sorted sequence.
-
-    Metric finalization computes several percentiles of the same value
-    list; sorting once and interpolating many times is the fast path
-    (:func:`percentile` used to re-sort per call).
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    if not ordered:
-        return 0.0
-    position = q / 100.0 * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    weight = position - lower
-    return ordered[lower] + weight * (ordered[upper] - ordered[lower])
 
 
 # ----------------------------------------------------------------------
@@ -748,194 +731,117 @@ def make_policy(name: str, **kwargs) -> ServingPolicy:
 # ----------------------------------------------------------------------
 # Simulator
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServingMetrics:
-    """Aggregate metrics of one simulated trace (plus per-request detail)."""
+class _RunBase:
+    """Drain, metrics, event and ops hooks shared by the object and array runs.
 
-    backend: str
-    model: str
-    policy: str
-    num_requests: int
-    makespan_s: float
-    busy_s: float
-    utilization: float
-    output_tokens: int
-    tokens_per_s: float
-    requests_per_s: float
-    latency_mean_s: float
-    latency_p50_s: float
-    latency_p99_s: float
-    ttft_mean_s: float
-    ttft_p50_s: float
-    ttft_p99_s: float
-    tpot_mean_s: float
-    energy_j: float
-    flops: float
-    prefill_passes: int
-    decode_passes: int
-    mean_decode_batch: float
-    #: Admission mode of the run ("worst-case" or "optimistic").
-    admission: str = "worst-case"
-    #: Total admit decisions (> num_requests when preemption re-admits).
-    admissions: int = 0
-    #: High-water mark of concurrently admitted requests.
-    peak_active: int = 0
-    #: Preempt-and-recompute evictions performed by optimistic admission.
-    preemptions: int = 0
-    #: Prompt + output tokens computed then discarded by preemptions.
-    recomputed_tokens: int = 0
-    #: Victims whose KV pages were swapped out to host DRAM (swap tier).
-    swap_outs: int = 0
-    #: Swapped-out requests restored to the pool (no recompute).
-    swap_ins: int = 0
-    #: KV pages moved over the host link, both directions summed.
-    swapped_pages: int = 0
-    #: Host-link bandwidth priced for swap transfers (0 = swap disabled).
-    link_gbps: float = 0.0
-    chunk_tokens: int = 0
-    kv_page_tokens: int = DEFAULT_PAGE_TOKENS
-    kv_pages_total: int = 0
-    kv_peak_pages: int = 0
-    kv_budget_bytes: int = 0
-    slo_attainment: "float | None" = None
-    slo_by_class: dict = field(default_factory=dict)
-    #: Names of the co-hosted model set; empty for single-model runs (the
-    #: pre-multi-model representation is preserved byte for byte).
-    models: tuple = ()
-    #: Weight swaps paid when the active model changed mid-run.
-    model_swaps: int = 0
-    #: Simulated seconds spent streaming model weights over the host link.
-    model_swap_s: float = 0.0
-    #: Per-(model, class) SLO attainment, keyed ``"model/class"`` —
-    #: populated only for multi-model runs with SLO targets.
-    slo_by_model_class: dict = field(default_factory=dict)
-    per_request: tuple[RequestMetrics, ...] = field(default_factory=tuple)
+    Both runs keep their state under the same attribute names (clock,
+    counters, queues, ``completed``, ``phase_s``), so one body serves both.
+    """
 
-    def to_dict(self, include_requests: bool = True) -> dict:
-        """JSON-stable representation (reports and determinism tests)."""
-        data = {
-            "backend": self.backend,
-            "model": self.model,
-            "policy": self.policy,
-            "num_requests": self.num_requests,
-            "makespan_s": self.makespan_s,
-            "busy_s": self.busy_s,
-            "utilization": self.utilization,
-            "output_tokens": self.output_tokens,
-            "tokens_per_s": self.tokens_per_s,
-            "requests_per_s": self.requests_per_s,
-            "latency_mean_s": self.latency_mean_s,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p99_s": self.latency_p99_s,
-            "ttft_mean_s": self.ttft_mean_s,
-            "ttft_p50_s": self.ttft_p50_s,
-            "ttft_p99_s": self.ttft_p99_s,
-            "tpot_mean_s": self.tpot_mean_s,
-            "energy_j": self.energy_j,
-            "flops": self.flops,
-            "prefill_passes": self.prefill_passes,
-            "decode_passes": self.decode_passes,
-            "mean_decode_batch": self.mean_decode_batch,
-            "admission": self.admission,
-            "admissions": self.admissions,
-            "peak_active": self.peak_active,
-            "preemptions": self.preemptions,
-            "recomputed_tokens": self.recomputed_tokens,
-            "swap_outs": self.swap_outs,
-            "swap_ins": self.swap_ins,
-            "swapped_pages": self.swapped_pages,
-            "link_gbps": self.link_gbps,
-            "chunk_tokens": self.chunk_tokens,
-            "kv_page_tokens": self.kv_page_tokens,
-            "kv_pages_total": self.kv_pages_total,
-            "kv_peak_pages": self.kv_peak_pages,
-            "kv_budget_bytes": self.kv_budget_bytes,
-            "slo_attainment": self.slo_attainment,
-            "slo_by_class": self.slo_by_class,
-        }
-        if len(self.models) > 1:
-            # Multi-model keys appear only for real model sets, so a
-            # single-model run's dict matches the pre-multi-model layout.
-            data["models"] = list(self.models)
-            data["model_swaps"] = self.model_swaps
-            data["model_swap_s"] = self.model_swap_s
-            data["slo_by_model_class"] = self.slo_by_model_class
-        if include_requests:
-            data["per_request"] = [metrics.to_dict() for metrics in self.per_request]
-        return data
+    def finish(self) -> ServingMetrics:
+        """Drain all remaining work and return the run's metrics."""
+        if self.finished:
+            raise ValueError("finish() called twice on the same run")
+        self.advance_until(None)
+        self.finished = True
+        self.completed.sort(key=lambda metrics: metrics.request_id)
+        makespan = (
+            self.clock - self.first_arrival if self.first_arrival is not None else 0.0
+        )
+        if self.sim.profile:
+            start = perf_counter()
+            metrics = self.sim._finalize(self, makespan)
+            self.phase_s["metrics"] += perf_counter() - start
+            return metrics
+        return self.sim._finalize(self, makespan)
 
-    @property
-    def kv_peak_fraction(self) -> float:
-        """Peak committed fraction of the KV page pool."""
-        if self.kv_pages_total <= 0:
-            return 0.0
-        return self.kv_peak_pages / self.kv_pages_total
+    def completion_columns(self) -> dict:
+        """Completion columns of the finished requests (metric pooling)."""
+        sim = self.sim
+        return row_columns(
+            self.completed,
+            sim.slo_targets is not None,
+            sim._model_names,
+            sim.model.name,
+        )
 
-    def summary(self) -> str:
-        """Multi-line human-readable summary (``repro serve`` prints this)."""
-        lines = [
-            f"backend         : {self.backend}",
-            f"model           : {self.model}",
-            f"policy          : {self.policy}"
-            + (f" (chunked prefill, {self.chunk_tokens} tokens)"
-               if self.chunk_tokens else ""),
-            f"requests        : {self.num_requests} "
-            f"({self.output_tokens} output tokens)",
-            f"makespan        : {self.makespan_s:.3f} s "
-            f"(device busy {self.busy_s:.3f} s, {self.utilization:.0%} utilized)",
-            f"throughput      : {self.tokens_per_s:.1f} tokens/s, "
-            f"{self.requests_per_s:.2f} requests/s",
-            f"latency         : mean {self.latency_mean_s * 1e3:.1f} ms, "
-            f"p50 {self.latency_p50_s * 1e3:.1f} ms, "
-            f"p99 {self.latency_p99_s * 1e3:.1f} ms",
-            f"TTFT            : mean {self.ttft_mean_s * 1e3:.1f} ms, "
-            f"p50 {self.ttft_p50_s * 1e3:.1f} ms, "
-            f"p99 {self.ttft_p99_s * 1e3:.1f} ms",
-            f"TPOT            : mean {self.tpot_mean_s * 1e3:.3f} ms/token",
-            f"passes          : {self.prefill_passes} prefill, "
-            f"{self.decode_passes} decode "
-            f"(mean batch {self.mean_decode_batch:.2f})",
-            f"admission       : {self.admission} "
-            f"({self.admissions} admits, peak {self.peak_active} in flight, "
-            f"{self.preemptions} preemptions, "
-            f"{self.recomputed_tokens} tokens recomputed)",
-            *(
-                [
-                    f"KV swap         : {self.swap_outs} out / {self.swap_ins} in, "
-                    f"{self.swapped_pages} pages over a "
-                    f"{self.link_gbps:g} Gb/s host link"
-                ]
-                if self.link_gbps > 0.0
-                else []
-            ),
-            *(
-                [
-                    f"model set       : {', '.join(self.models)} "
-                    f"({self.model_swaps} weight swaps, "
-                    f"{self.model_swap_s:.3f} s streaming)"
-                ]
-                if len(self.models) > 1
-                else []
-            ),
-            f"KV memory       : {self.kv_peak_pages}/{self.kv_pages_total} "
-            f"pages peak ({self.kv_peak_fraction:.0%} of "
-            f"{self.kv_budget_bytes / 2**30:.2f} GiB, "
-            f"{self.kv_page_tokens} tokens/page)",
-            f"dynamic energy  : {self.energy_j * 1e3:.1f} mJ",
-        ]
-        if self.slo_attainment is not None:
-            by_class = ", ".join(
-                f"class {cls}: {attained:.0%}"
-                for cls, attained in self.slo_by_class.items()
+    def recover(self, now: float) -> None:
+        """Bring a failed replica back (empty: its KV cache did not survive)."""
+        if self.finished:
+            raise ValueError("cannot recover a finished run")
+        if not self.dead:
+            raise ValueError("cannot recover a replica that is not dead")
+        self.dead = False
+        if now > self.clock:
+            self.clock = now
+        self._emit("recover")
+
+    def catch_up(self, now: float) -> None:
+        """Jump an idle replica's clock forward to ``now``.
+
+        Failover resubmits bypass the pending queue (and with it the idle
+        jump in :meth:`advance_until`), so the cluster calls this first —
+        otherwise an idle survivor would start recomputing a victim's work
+        *before* the failure instant.
+        """
+        if (
+            now > self.clock
+            and not self.active
+            and not self.waiting
+            and not self.swapped
+        ):
+            self.clock = now
+            self._emit("idle")
+
+    def note_scale(self, delta: int) -> None:
+        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
+        self._emit("scale", tokens=delta)
+
+    def _emit(
+        self,
+        kind: str,
+        latency: float = 0.0,
+        request_id: "int | None" = None,
+        tokens: int = 0,
+        decode_ids: tuple = (),
+        model: str = "",
+    ) -> None:
+        if self.events is not None:
+            self.events.append(
+                SimEvent(
+                    kind=kind,
+                    clock_s=self.clock,
+                    latency_s=latency,
+                    request_id=request_id,
+                    tokens=tokens,
+                    decode_ids=decode_ids,
+                    active=len(self.active),
+                    waiting=len(self.waiting),
+                    kv_reserved_pages=self.kv.reserved_pages,
+                    kv_total_pages=self.kv.total_pages,
+                    model=model,
+                )
             )
-            lines.append(
-                f"SLO attainment  : {self.slo_attainment:.0%}"
-                + (f" ({by_class})" if by_class else "")
-            )
-        return "\n".join(lines)
+
+    def _swap_model(self, target: str) -> None:
+        """Stream ``target``'s weights in over the host link (weight swap)."""
+        sim = self.sim
+        moved = sim._weight_bytes[target]
+        latency = moved * 8.0 / (sim.link_gbps * 1e9)
+        self.clock += latency
+        self.busy += latency
+        self.resident_model = target
+        self._provider = sim.providers[target]
+        self.model_swaps += 1
+        self.model_swap_s += latency
+        self._emit("model_swap", latency=latency, tokens=moved, model=target)
+
+    def _swap_latency(self, pages: int) -> float:
+        """Transfer time of ``pages`` KV pages over the host link."""
+        return pages * self.kv.page_bytes * 8.0 / (self.sim.link_gbps * 1e9)
 
 
-class SimulationRun:
+class SimulationRun(_RunBase):
     """One in-progress simulation over a :class:`ServingSimulator`.
 
     Created by :meth:`ServingSimulator.begin`.  The one-shot
@@ -990,7 +896,7 @@ class SimulationRun:
         self.recomputed_tokens = 0
         self.swap_outs = 0
         self.swap_ins = 0
-        self.swapped_pages_total = 0
+        self.swapped_pages = 0
         self.offered = 0
         self.first_arrival: "float | None" = None
         self.finished = False
@@ -1117,50 +1023,7 @@ class SimulationRun:
             else:
                 self._step()
 
-    def finish(self) -> ServingMetrics:
-        """Drain all remaining work and return the run's metrics."""
-        if self.finished:
-            raise ValueError("finish() called twice on the same run")
-        self.advance_until(None)
-        self.finished = True
-        self.completed.sort(key=lambda metrics: metrics.request_id)
-        makespan = (
-            self.clock - self.first_arrival if self.first_arrival is not None else 0.0
-        )
-        if self.sim.profile:
-            start = perf_counter()
-            metrics = self.sim._finalize(self, makespan)
-            self.phase_s["metrics"] += perf_counter() - start
-            return metrics
-        return self.sim._finalize(self, makespan)
-
     # ------------------------------------------------------------------
-    def _emit(
-        self,
-        kind: str,
-        latency: float = 0.0,
-        request_id: "int | None" = None,
-        tokens: int = 0,
-        decode_ids: tuple = (),
-        model: str = "",
-    ) -> None:
-        if self.events is not None:
-            self.events.append(
-                SimEvent(
-                    kind=kind,
-                    clock_s=self.clock,
-                    latency_s=latency,
-                    request_id=request_id,
-                    tokens=tokens,
-                    decode_ids=decode_ids,
-                    active=len(self.active),
-                    waiting=len(self.waiting),
-                    kv_reserved_pages=self.kv.reserved_pages,
-                    kv_total_pages=self.kv.total_pages,
-                    model=model,
-                )
-            )
-
     def _admit(self) -> None:
         # Admission is instantaneous: commit KV pages and make the
         # request scheduler-visible.  Both gates must agree — the
@@ -1204,7 +1067,7 @@ class SimulationRun:
         self.busy += latency
         self.active.append(flight)
         self.swap_ins += 1
-        self.swapped_pages_total += pages
+        self.swapped_pages += pages
         if len(self.active) > self.peak_active:
             self.peak_active = len(self.active)
         self._emit("swap_in", latency=latency, request_id=request_id, tokens=pages)
@@ -1281,19 +1144,6 @@ class SimulationRun:
             batch = sim.policy.decode_batch(decodable)
             target = batch[0] if batch else decodable[0]
         self._swap_model(self._model_of(target.request))
-
-    def _swap_model(self, target: str) -> None:
-        """Stream ``target``'s weights in over the host link (weight swap)."""
-        sim = self.sim
-        moved = sim._weight_bytes[target]
-        latency = moved * 8.0 / (sim.link_gbps * 1e9)
-        self.clock += latency
-        self.busy += latency
-        self.resident_model = target
-        self._provider = sim.providers[target]
-        self.model_swaps += 1
-        self.model_swap_s += latency
-        self._emit("model_swap", latency=latency, tokens=moved, model=target)
 
     def _step(self) -> None:
         """One device iteration: a prefill chunk and/or a fused decode batch."""
@@ -1513,7 +1363,7 @@ class SimulationRun:
         self.busy += latency
         self.swapped.append(victim)
         self.swap_outs += 1
-        self.swapped_pages_total += pages
+        self.swapped_pages += pages
         if self.swap_outs > 50 * max(self.offered, 1):  # pragma: no cover
             raise RuntimeError(
                 f"swap livelock: {self.swap_outs} swap-outs over "
@@ -1522,10 +1372,6 @@ class SimulationRun:
         self._emit(
             "swap_out", latency=latency, request_id=request.request_id, tokens=pages
         )
-
-    def _swap_latency(self, pages: int) -> float:
-        """Transfer time of ``pages`` KV pages over the host link."""
-        return pages * self.kv.page_bytes * 8.0 / (self.sim.link_gbps * 1e9)
 
     def _requeue(self, request: Request) -> None:
         """Re-insert a preempted request, keeping ``waiting`` arrival-sorted."""
@@ -1574,17 +1420,6 @@ class SimulationRun:
         self._emit("fail", tokens=pages, decode_ids=dropped_ids)
         return lost, pages
 
-    def recover(self, now: float) -> None:
-        """Bring a failed replica back (empty: its KV cache did not survive)."""
-        if self.finished:
-            raise ValueError("cannot recover a finished run")
-        if not self.dead:
-            raise ValueError("cannot recover a replica that is not dead")
-        self.dead = False
-        if now > self.clock:
-            self.clock = now
-        self._emit("recover")
-
     def resubmit(self, request: Request) -> None:
         """Re-inject a failed-over request for recompute from scratch.
 
@@ -1602,27 +1437,6 @@ class SimulationRun:
         self.offered += 1
         if self.first_arrival is None or request.arrival_s < self.first_arrival:
             self.first_arrival = request.arrival_s
-
-    def catch_up(self, now: float) -> None:
-        """Jump an idle replica's clock forward to ``now``.
-
-        Failover resubmits bypass the pending queue (and with it the idle
-        jump in :meth:`advance_until`), so the cluster calls this first —
-        otherwise an idle survivor would start recomputing a victim's work
-        *before* the failure instant.
-        """
-        if (
-            now > self.clock
-            and not self.active
-            and not self.waiting
-            and not self.swapped
-        ):
-            self.clock = now
-            self._emit("idle")
-
-    def note_scale(self, delta: int) -> None:
-        """Record an autoscaling decision (+1 spawn, -1 drain) in the log."""
-        self._emit("scale", tokens=delta)
 
 
 class ServingSimulator:
@@ -1794,6 +1608,10 @@ class ServingSimulator:
         #: True when this simulator co-hosts more than one model — the
         #: single-model configuration keeps every legacy code path.
         self.multi_model = len(model_set) > 1
+        #: Names of the co-hosted model set (empty for single-model runs).
+        self._model_names = (
+            tuple(member.name for member in model_set) if self.multi_model else ()
+        )
         if isinstance(policy, str):
             cls = POLICIES.get(policy)
             kwargs = (
@@ -2011,109 +1829,35 @@ class ServingSimulator:
     def _shared_component(values: "list[float]", saved: float) -> float:
         return max(sum(values) - saved, max(values))
 
-    def _finalize(self, run: "SimulationRun", makespan: float) -> ServingMetrics:
-        completed = run.completed
-        busy = run.busy
-        energy = run.energy
-        flops = run.flops
-        prefill_passes = run.prefill_passes
-        decode_passes = run.decode_passes
-        decode_tokens = run.decode_tokens
+    def _finalize(self, run, makespan: float) -> ServingMetrics:
+        """Metrics of a drained run of either engine.
+
+        The object and array runs share their counter attribute names;
+        the request-pooled figures come from the run's completion columns
+        through :func:`~repro.serving.metrics.pool_completions`.
+        """
         kv = run.kv
-        latencies = [metrics.latency_s for metrics in completed]
-        ttfts = [metrics.ttft_s for metrics in completed]
-        tpots = [metrics.tpot_s for metrics in completed if metrics.output_tokens > 1]
-        # Sort once per value list; percentiles interpolate over the same
-        # sorted copy (means stay over arrival order, as before).
-        ordered_latencies = sorted(latencies)
-        ordered_ttfts = sorted(ttfts)
-        output_tokens = sum(metrics.output_tokens for metrics in completed)
-        mean = lambda values: sum(values) / len(values) if values else 0.0  # noqa: E731
-        slo_attainment: "float | None" = None
-        slo_by_class: dict[str, float] = {}
-        slo_by_model_class: dict[str, float] = {}
-        if self.slo_targets is not None:
-            scored = [metrics for metrics in completed if metrics.slo_s > 0.0]
-            if scored:
-                slo_attainment = mean([1.0 if m.slo_met else 0.0 for m in scored])
-                classes = sorted({metrics.priority_class for metrics in scored})
-                slo_by_class = {
-                    str(cls): mean(
-                        [
-                            1.0 if m.slo_met else 0.0
-                            for m in scored
-                            if m.priority_class == cls
-                        ]
-                    )
-                    for cls in classes
-                }
-                if self.multi_model:
-                    default = self.model.name
-                    pairs = sorted(
-                        {
-                            (m.model or default, m.priority_class)
-                            for m in scored
-                        }
-                    )
-                    slo_by_model_class = {
-                        f"{name}/{cls}": mean(
-                            [
-                                1.0 if m.slo_met else 0.0
-                                for m in scored
-                                if (m.model or default) == name
-                                and m.priority_class == cls
-                            ]
-                        )
-                        for name, cls in pairs
-                    }
-            else:
-                slo_attainment = 1.0
+        decode_passes = run.decode_passes
         return ServingMetrics(
             backend=self.cost_model.name,
             model=self.model.name,
             policy=self.policy.name,
-            num_requests=len(completed),
             makespan_s=makespan,
-            busy_s=busy,
-            utilization=busy / makespan if makespan > 0 else 0.0,
-            output_tokens=output_tokens,
-            tokens_per_s=output_tokens / makespan if makespan > 0 else 0.0,
-            requests_per_s=len(completed) / makespan if makespan > 0 else 0.0,
-            latency_mean_s=mean(latencies),
-            latency_p50_s=_percentile_sorted(ordered_latencies, 50.0),
-            latency_p99_s=_percentile_sorted(ordered_latencies, 99.0),
-            ttft_mean_s=mean(ttfts),
-            ttft_p50_s=_percentile_sorted(ordered_ttfts, 50.0),
-            ttft_p99_s=_percentile_sorted(ordered_ttfts, 99.0),
-            tpot_mean_s=mean(tpots),
-            energy_j=energy.total_j,
-            flops=flops,
-            prefill_passes=prefill_passes,
-            decode_passes=decode_passes,
-            mean_decode_batch=decode_tokens / decode_passes if decode_passes else 0.0,
+            busy_s=run.busy,
+            utilization=run.busy / makespan if makespan > 0 else 0.0,
+            energy_j=run.energy.total_j,
+            mean_decode_batch=(
+                run.decode_tokens / decode_passes if decode_passes else 0.0
+            ),
             admission=self.admission,
-            admissions=run.admissions,
-            peak_active=run.peak_active,
-            preemptions=run.preemptions,
-            recomputed_tokens=run.recomputed_tokens,
-            swap_outs=run.swap_outs,
-            swap_ins=run.swap_ins,
-            swapped_pages=run.swapped_pages_total,
             link_gbps=self.link_gbps if self.swap else 0.0,
             chunk_tokens=self.chunk_tokens,
             kv_page_tokens=kv.page_tokens,
             kv_pages_total=kv.total_pages,
             kv_peak_pages=kv.peak_reserved_pages,
             kv_budget_bytes=kv.budget_bytes,
-            slo_attainment=slo_attainment,
-            slo_by_class=slo_by_class,
-            models=(
-                tuple(member.name for member in self.models)
-                if self.multi_model
-                else ()
-            ),
-            model_swaps=run.model_swaps,
-            model_swap_s=run.model_swap_s,
-            slo_by_model_class=slo_by_model_class,
-            per_request=tuple(completed) if self.per_request_detail else (),
+            models=self._model_names,
+            **{name: getattr(run, name) for name in _RUN_COUNTERS},
+            per_request=tuple(run.completed) if self.per_request_detail else (),
+            **pool_completions(makespan=makespan, **run.completion_columns()),
         )

@@ -37,12 +37,14 @@ from repro.core.costmodel import (
 )
 from repro.core.multi_device import MultiIanusSystem
 from repro.core.system import IanusSystem
-from repro.models import GPT2_CONFIGS
+from repro.models import GPT2_CONFIGS, get_model
 from repro.models.workload import Stage, StagePass
 from repro.serving import (
+    ClusterMetrics,
     ClusterSimulator,
     KvPageAccountant,
     Request,
+    ServingMetrics,
     ServingSimulator,
     check_invariants,
     cluster_kv_peak,
@@ -50,6 +52,7 @@ from repro.serving import (
     make_router,
 )
 from repro.serving.cluster import ReplicaSnapshot, Router
+from repro.serving.metrics import POOLING
 from repro.serving.validate import SimEvent
 
 MODEL = GPT2_CONFIGS["m"]
@@ -593,6 +596,85 @@ class TestClusterPlumbing:
             "--requests", "2", "--no-disk-cache",
         ]) == 2
         assert "contradict" in capsys.readouterr().err
+
+
+class TestPooledFields:
+    """Every per-replica field reaches the pooled report by a declared rule."""
+
+    def test_every_serving_field_has_a_rule_and_a_key(self):
+        # A two-model set with SLO targets, so the model-set keys (which
+        # appear only for real model sets) are in the dict too.
+        models = (MODEL, get_model("gemma-1b"))
+        trace = get_trace_generator("chatbot").generate(
+            30, 100.0, seed=2, num_classes=2,
+            model_mix=[(member.name, 1.0) for member in models],
+        )
+        cluster = ClusterSimulator(
+            LinearCostModel(), MODEL, num_replicas=2, router="model-aware",
+            policy="interleaved", models=models, slo_targets=(0.5, 2.0),
+            num_classes=2,
+        )
+        data = cluster.simulate(trace).to_dict()
+        cluster_fields = {item.name for item in dataclasses.fields(ClusterMetrics)}
+        serving_fields = [
+            item.name
+            for item in dataclasses.fields(ServingMetrics)
+            if item.name != "per_request"
+        ]
+        for name in serving_fields:
+            assert name in cluster_fields, name
+            assert POOLING.get(name) in ("shared", "sum", "completions", "fleet"), name
+            assert name in data, name
+        assert set(POOLING) == set(serving_fields)
+
+    def test_swap_and_pass_counters_pool_to_per_replica_sums(self):
+        generator = get_trace_generator("chatbot")
+        trace = generator.generate(60, 400.0, seed=3)
+        accountant = KvPageAccountant.for_backend(LinearCostModel(), MODEL)
+        worst = accountant.token_bytes * max(
+            w.total_tokens for w in generator.workloads
+        )
+        cluster = ClusterSimulator(
+            LinearCostModel(), MODEL, num_replicas=3, router="round-robin",
+            policy="interleaved", admission="optimistic", swap=True,
+            link_gbps=8.0, kv_budget=3 * worst,
+        )
+        pooled = cluster.simulate(trace)
+        replicas = pooled.per_replica
+        assert pooled.swap_outs > 0
+        data = pooled.to_dict(include_requests=False, include_replicas=False)
+        for name in (
+            "swap_outs", "swap_ins", "swapped_pages", "prefill_passes",
+            "decode_passes", "kv_budget_bytes",
+        ):
+            assert data[name] == sum(getattr(m, name) for m in replicas), name
+        decode_tokens = sum(
+            round(m.mean_decode_batch * m.decode_passes) for m in replicas
+        )
+        assert pooled.mean_decode_batch == decode_tokens / pooled.decode_passes
+        assert pooled.link_gbps == 8.0
+        text = pooled.summary()
+        assert (
+            f"KV swap         : {pooled.swap_outs} out / {pooled.swap_ins} in"
+            in text
+        )
+
+    def test_one_replica_pools_to_the_single_device_metrics(self):
+        # With one replica every pooling rule reduces to the identity, so
+        # each field shared with ServingMetrics equals the device's own.
+        trace = get_trace_generator("skewed").generate(16, 50.0, seed=1)
+        single = ServingSimulator(
+            LinearCostModel(), MODEL, policy="interleaved",
+            admission="optimistic",
+        ).simulate(trace, record_events=True)
+        pooled = ClusterSimulator(
+            LinearCostModel(), MODEL, num_replicas=1, router="round-robin",
+            policy="interleaved", admission="optimistic",
+        ).simulate(trace, record_events=True)
+        expected = single.to_dict(include_requests=False)
+        actual = pooled.to_dict(include_requests=False, include_replicas=False)
+        for name, value in expected.items():
+            assert json.dumps(actual[name]) == json.dumps(value), name
 
 
 class TestClusterSweep:

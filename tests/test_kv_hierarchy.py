@@ -10,11 +10,11 @@ Three layers of evidence for PR 9's accountant extension:
   exactly zero reserved pages;
 * tampered-ledger oracles prove the *checker* catches forged shares and
   deleted swap events (an oracle nobody has tested is not an oracle);
-* byte-identity pins: a ``prefix_share=0`` trace is identical to one
+* engine and trace pins: a ``prefix_share=0`` trace is identical to one
   generated without prefix arguments, the array engine's
   exact-accounting mode reproduces the object engine event-for-event
-  under sharing and swap, and the vectorized burst bisect is
-  byte-identical to the scalar loop it replaced.
+  under sharing and swap, and the vectorized burst bisect reproduces
+  the object engine's per-request rows.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.serving import (
     check_invariants,
     get_trace_generator,
 )
-from repro.serving.array_engine import ArraySimulationRun
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -384,24 +383,28 @@ class TestByteIdentityPins:
         assert logs["object"][0] == logs["array"][0]
         assert logs["object"][1] == logs["array"][1]
 
-    def test_vectorized_bisect_matches_scalar(self):
-        # The interleaved burst runner's arrival-budget cut: np.searchsorted
-        # over the latency prefix sums must reproduce the scalar bisect
-        # byte for byte (B == 1 makes the shared-latency term exactly 0.0,
-        # so elapsed(j) is a prefix-sum difference in both formulations).
+    def test_vectorized_bisect_matches_object_engine(self):
+        # The interleaved burst runner's arrival-budget cut (np.searchsorted
+        # over the latency prefix sums for a lone request) is pinned
+        # against the oracle: every per-request row of the array engine
+        # matches the object engine's — integers and flags exactly, times
+        # to the 1e-9 contract of the closed-form paths.  A cut one decode
+        # step late would admit the next arrival a whole pass late.
         cost_model = make_cost_model("ianus")
         trace = get_trace_generator("chatbot").generate(300, 40.0, seed=5)
         rows = {}
-        saved = ArraySimulationRun.vector_bisect
-        try:
-            for toggle in (False, True):
-                ArraySimulationRun.vector_bisect = toggle
-                simulator = ServingSimulator(
-                    cost_model, MODEL, policy="interleaved", max_batch=4,
-                    engine="array",
-                )
-                metrics = simulator.simulate(trace)
-                rows[toggle] = [m.to_dict() for m in metrics.per_request]
-        finally:
-            ArraySimulationRun.vector_bisect = saved
-        assert rows[False] == rows[True]
+        for engine in ("object", "array"):
+            simulator = ServingSimulator(
+                cost_model, MODEL, policy="interleaved", max_batch=4,
+                engine=engine,
+            )
+            metrics = simulator.simulate(trace)
+            rows[engine] = [m.to_dict() for m in metrics.per_request]
+        assert len(rows["array"]) == len(rows["object"]) == len(trace)
+        for expected, actual in zip(rows["object"], rows["array"]):
+            assert expected.keys() == actual.keys()
+            for key, value in expected.items():
+                if isinstance(value, float):
+                    assert actual[key] == pytest.approx(value, rel=1e-9), key
+                else:
+                    assert actual[key] == value, key
