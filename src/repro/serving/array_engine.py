@@ -77,13 +77,14 @@ __all__ = ["ArraySimulationRun"]
 class _KvPool:
     """Integer-counter view of the KV page pool.
 
-    :class:`~repro.serving.kv_memory.KvPageAccountant` keeps a dict of
-    per-request holdings and *sums it* on every ``reserved_pages`` read —
-    O(active) per event, fine for the object engine, fatal in a loop that
-    reads it millions of times.  The array run holds per-row pages in a
-    column and keeps the pool-wide counters here as plain ints; the
-    attribute names match the accountant so metric finalization and the
-    cluster's router snapshots read either interchangeably.
+    The fast paths hold each row's pages in the ``_held`` column and keep
+    no per-request dict, so they need none of
+    :class:`~repro.serving.kv_memory.KvPageAccountant`'s per-request
+    bookkeeping (prefix groups, swap tier, reservation checks) — only the
+    pool-wide counters, kept here as plain ints that the vectorized paths
+    update in bulk.  The attribute names match the accountant so metric
+    finalization and the cluster's router snapshots read either
+    interchangeably.
     """
 
     __slots__ = (
@@ -677,17 +678,17 @@ class ArraySimulationRun(_RunBase):
 
     def _ensure_exact_kv(self) -> None:
         """Switch to the reference-counting accountant (first shared-prefix
-        request seen).  Current holdings carry over: every active row's
-        private pages become accountant reservations — the fast paths
-        maintained ``reserved_pages == sum(active holdings)``, so the
-        pool-wide count is unchanged — and the high-water mark survives.
+        request seen).  Current holdings carry over: the accountant adopts
+        every active row's private pages — the fast paths maintained
+        ``reserved_pages == sum(active holdings)``, so the pool-wide count
+        is unchanged — and the high-water mark survives.
         """
         if self._exact_kv:
             return
         accountant = self.sim._new_accountant()
         rid, held = self._rid, self._held
         for row in self.active:
-            accountant._reserved[rid[row]] = held[row]
+            accountant.adopt(rid[row], held[row])
         accountant.peak_reserved_pages = self.kv.peak_reserved_pages
         self.kv = accountant
         self._exact_kv = True
@@ -2140,7 +2141,13 @@ class ArraySimulationRun(_RunBase):
                 continue  # evicted by an earlier member's growth
             tokens = self._inp[row] + self._generated[row]
             need = kv.grow_need(rid[row], tokens)
-            if need > 0 and need > kv.free_pages and (sim.swap or sim.preempt):
+            if need <= 0:
+                # No page boundary crossed: only one decode step in
+                # ``page_tokens`` needs a page, so most grants end here.
+                granted.append(row)
+                protected.add(row)
+                continue
+            if need > kv.free_pages and (sim.swap or sim.preempt):
                 protected.add(row)
                 while need > kv.free_pages:
                     victim = self._choose_victim(protected)

@@ -260,9 +260,9 @@ def cluster_kv_peak(event_logs: "Sequence[Sequence]") -> int:
 
     Merges the replicas' event logs in clock order (each log's
     ``kv_reserved_pages`` is a step function over its own events) and
-    tracks the maximum of the sum — the cluster-wide high-water mark, which
-    is lower than the sum of per-replica peaks whenever the replicas peak
-    at different times.
+    tracks the maximum of the sum, kept as a running total — the
+    cluster-wide high-water mark, which is lower than the sum of
+    per-replica peaks whenever the replicas peak at different times.
     """
     merged = sorted(
         (
@@ -273,10 +273,10 @@ def cluster_kv_peak(event_logs: "Sequence[Sequence]") -> int:
         key=lambda item: (item[0], item[1], item[2]),
     )
     current = [0] * len(event_logs)
-    peak = 0
+    total = peak = 0
     for _, replica_index, _, reserved in merged:
+        total += reserved - current[replica_index]
         current[replica_index] = reserved
-        total = sum(current)
         if total > peak:
             peak = total
     return peak

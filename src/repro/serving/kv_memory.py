@@ -173,6 +173,11 @@ class KvPageAccountant:
     pages.  ``swap_out``/``swap_in`` move a request's private pages between
     the device pool and host DRAM (shared pages never move — other group
     members still use them).
+
+    ``reserved_pages``, ``free_pages`` and ``swapped_pages`` are O(1): the
+    pool-wide totals are running counters that every page-moving method
+    updates, since the schedulers read them on every admission, growth
+    and event.
     """
 
     budget_bytes: int
@@ -188,6 +193,12 @@ class KvPageAccountant:
     _request_group: dict[int, int] = field(default_factory=dict, repr=False)
     #: High-water mark of committed pages over the accountant's lifetime.
     peak_reserved_pages: int = 0
+    #: Pool size in pages, fixed at construction.
+    total_pages: int = field(default=0, init=False, repr=False)
+    #: Running totals behind ``reserved_pages`` and ``swapped_pages``,
+    #: kept by every method that moves pages.
+    _reserved_pages: int = field(default=0, init=False, repr=False)
+    _swapped_pages: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.budget_bytes <= 0:
@@ -196,6 +207,7 @@ class KvPageAccountant:
             raise ValueError("token_bytes must be positive")
         if self.page_tokens < 1:
             raise ValueError("page_tokens must be at least 1")
+        self.total_pages = self.budget_bytes // self.page_bytes
         if self.total_pages < 1:
             raise ValueError(
                 f"KV budget of {self.budget_bytes} bytes is smaller than one "
@@ -241,25 +253,19 @@ class KvPageAccountant:
         return self.page_tokens * self.token_bytes
 
     @property
-    def total_pages(self) -> int:
-        return self.budget_bytes // self.page_bytes
-
-    @property
     def reserved_pages(self) -> int:
         """Resident pages: every request's private pages plus each shared
         group's pages counted **once**."""
-        return sum(self._reserved.values()) + sum(
-            group.pages for group in self._groups.values()
-        )
+        return self._reserved_pages
 
     @property
     def free_pages(self) -> int:
-        return self.total_pages - self.reserved_pages
+        return self.total_pages - self._reserved_pages
 
     @property
     def swapped_pages(self) -> int:
         """Private pages currently parked in host DRAM (not in the pool)."""
-        return sum(self._swapped.values())
+        return self._swapped_pages
 
     def pages_for(self, tokens: int) -> int:
         """Pages needed to hold ``tokens`` tokens of KV cache (ceiling)."""
@@ -357,9 +363,10 @@ class KvPageAccountant:
         prefix, which never grows), raises on over-subscription — the
         scheduler must preempt first.
         """
-        if request_id not in self._reserved:
+        private = self._reserved.get(request_id)
+        if private is None:
             raise ValueError(f"request {request_id} holds no reservation")
-        held = self._reserved[request_id] + self.shared_held_pages(request_id)
+        held = private + self.shared_held_pages(request_id)
         need = self.pages_for(tokens) - held
         if need <= 0:
             return 0
@@ -368,9 +375,7 @@ class KvPageAccountant:
                 f"KV over-subscription: request {request_id} needs {need} more "
                 f"page(s) but only {self.free_pages} of {self.total_pages} are free"
             )
-        self._reserved[request_id] += need
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
+        self._commit(request_id, private + need, need)
         return need
 
     def reserve(
@@ -396,6 +401,7 @@ class KvPageAccountant:
                 f"KV over-subscription: request {request_id} needs {charge} "
                 f"page(s) but only {self.free_pages} of {self.total_pages} are free"
             )
+        private = self.pages_for(tokens)
         if prefix_id >= 0 and prefix_tokens > 0:
             shared = self.shared_pages_for(prefix_tokens)
             group = self._groups.get(prefix_id)
@@ -403,13 +409,36 @@ class KvPageAccountant:
                 group = _PrefixGroup(prefix_tokens=prefix_tokens, pages=shared)
                 self._groups[prefix_id] = group
             group.refcount += 1
-            self._reserved[request_id] = self.pages_for(tokens) - shared
+            private -= shared
             self._request_group[request_id] = prefix_id
-        else:
-            self._reserved[request_id] = self.pages_for(tokens)
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
+        self._commit(request_id, private, charge)
         return charge
+
+    def adopt(self, request_id: int, pages: int) -> int:
+        """Take over ``pages`` private pages a request already holds.
+
+        The array engine's integer pool keeps its rows' pages in a column;
+        when a run switches to this accountant (its first shared-prefix
+        request), every active row's holding moves over through here, so
+        the pool-wide count is unchanged.  Returns the pages adopted.
+        """
+        if request_id in self._reserved or request_id in self._swapped:
+            raise ValueError(f"request {request_id} already holds a reservation")
+        if pages > self.free_pages:
+            raise ValueError(
+                f"KV over-subscription: request {request_id} needs {pages} "
+                f"page(s) but only {self.free_pages} of {self.total_pages} are free"
+            )
+        self._commit(request_id, pages, pages)
+        return pages
+
+    def _commit(self, request_id: int, private: int, added: int) -> None:
+        """Set a request's private resident pages after ``added`` more
+        pages entered the pool, and roll the high-water mark."""
+        self._reserved[request_id] = private
+        self._reserved_pages += added
+        if self._reserved_pages > self.peak_reserved_pages:
+            self.peak_reserved_pages = self._reserved_pages
 
     def release(self, request_id: int) -> int:
         """Drop one request's reservation; returns the resident pages freed.
@@ -423,7 +452,7 @@ class KvPageAccountant:
         if request_id in self._reserved:
             freed = self._reserved.pop(request_id)
         elif request_id in self._swapped:
-            self._swapped.pop(request_id)
+            self._swapped_pages -= self._swapped.pop(request_id)
             freed = 0
         else:
             raise ValueError(f"request {request_id} holds no reservation")
@@ -434,6 +463,7 @@ class KvPageAccountant:
             if group.refcount <= 0:
                 freed += group.pages
                 del self._groups[gid]
+        self._reserved_pages -= freed
         return freed
 
     # ------------------------------------------------------------------
@@ -450,6 +480,8 @@ class KvPageAccountant:
             raise ValueError(f"request {request_id} is already swapped out")
         pages = self._reserved.pop(request_id)
         self._swapped[request_id] = pages
+        self._reserved_pages -= pages
+        self._swapped_pages += pages
         return pages
 
     def can_swap_in(self, request_id: int) -> bool:
@@ -468,9 +500,8 @@ class KvPageAccountant:
                 f"{self.total_pages} are free"
             )
         del self._swapped[request_id]
-        self._reserved[request_id] = pages
-        if self.reserved_pages > self.peak_reserved_pages:
-            self.peak_reserved_pages = self.reserved_pages
+        self._swapped_pages -= pages
+        self._commit(request_id, pages, pages)
         return pages
 
     def release_all(self) -> int:
@@ -480,9 +511,11 @@ class KvPageAccountant:
         shared prefixes and the host-DRAM copies alike — so the victims
         must recompute from scratch wherever they land next.
         """
-        pages = self.reserved_pages
+        pages = self._reserved_pages
         self._reserved.clear()
         self._swapped.clear()
         self._groups.clear()
         self._request_group.clear()
+        self._reserved_pages = 0
+        self._swapped_pages = 0
         return pages

@@ -155,6 +155,10 @@ class _Ledger:
     request shapes — a forged refcount, an invented share, or a deleted
     swap event makes the replayed reservation diverge from the reported
     one and is caught.
+
+    ``reserved`` (resident pages: ``held`` plus each group's pages once)
+    is a running total that every method keeps, since the replay compares
+    it against almost every event.
     """
 
     def __init__(self, page_tokens: int, admission: str) -> None:
@@ -172,12 +176,7 @@ class _Ledger:
         #: prefix_id -> [shared pages, refcount] of resident groups.
         self.groups: dict[int, list[int]] = {}
         self.request_group: dict[int, int] = {}
-
-    @property
-    def reserved(self) -> int:
-        return sum(self.held.values()) + sum(
-            pages for pages, _refcount in self.groups.values()
-        )
+        self.reserved = 0
 
     def _shared_pages(self, request: Request) -> int:
         if request.prefix_id < 0 or request.prefix_tokens <= 0:
@@ -204,11 +203,16 @@ class _Ledger:
         )
         pages = _pages_for(tokens, self.page_tokens)
         shared = self._shared_pages(request)
-        self.held[request.request_id] = pages - shared
+        rid = request.request_id
+        self.reserved += pages - shared - self.held.get(rid, 0)
+        self.held[rid] = pages - shared
         if shared > 0:
-            group = self.groups.setdefault(request.prefix_id, [shared, 0])
+            group = self.groups.get(request.prefix_id)
+            if group is None:
+                group = self.groups[request.prefix_id] = [shared, 0]
+                self.reserved += shared
             group[1] += 1
-            self.request_group[request.request_id] = request.prefix_id
+            self.request_group[rid] = request.prefix_id
 
     def decode(self, request: Request, decode_steps: int) -> None:
         """Grow for decode pass number ``decode_steps`` (1-indexed)."""
@@ -223,6 +227,7 @@ class _Ledger:
         held = self.held.get(request.request_id, 0)
         if required > held:
             self.held[request.request_id] = required
+            self.reserved += required - held
 
     def release(self, request_id: int) -> int:
         """Drop a reservation; returns the resident pages freed."""
@@ -235,17 +240,20 @@ class _Ledger:
             if group[1] <= 0:
                 freed += group[0]
                 del self.groups[gid]
+        self.reserved -= freed
         return freed
 
     def swap_out(self, request_id: int) -> int:
         """Move private pages to the host side; returns pages moved."""
         pages = self.held.pop(request_id, 0)
         self.swapped[request_id] = pages
+        self.reserved -= pages
         return pages
 
     def swap_in(self, request_id: int) -> int:
         """Restore private pages from the host side; returns pages moved."""
         pages = self.swapped.pop(request_id, 0)
+        self.reserved += pages - self.held.get(request_id, 0)
         self.held[request_id] = pages
         return pages
 
@@ -255,6 +263,7 @@ class _Ledger:
         self.swapped.clear()
         self.groups.clear()
         self.request_group.clear()
+        self.reserved = 0
 
 
 def _replay(
@@ -304,37 +313,46 @@ def _replay(
     dead = False
     scale_up_first = False
 
+    def where() -> str:
+        # Formatted only when a violation is reported.
+        return f"event {index} ({event.kind} @ {event.clock_s:.6f}s)"
+
     for index, event in enumerate(events):
-        where = f"event {index} ({event.kind} @ {event.clock_s:.6f}s)"
         if event.clock_s < prev_clock - _CLOCK_EPS:
-            violations.append(f"{where}: clock moved backwards from {prev_clock:.6f}s")
+            violations.append(
+                f"{where()}: clock moved backwards from {prev_clock:.6f}s"
+            )
         if event.kv_reserved_pages > event.kv_total_pages:
             violations.append(
-                f"{where}: KV over-subscription — {event.kv_reserved_pages} "
+                f"{where()}: KV over-subscription — {event.kv_reserved_pages} "
                 f"pages committed of {event.kv_total_pages}"
             )
         if dead and event.kind != "recover":
             violations.append(
-                f"{where}: event on a failed replica before its recovery"
+                f"{where()}: event on a failed replica before its recovery"
             )
 
         if event.kind == "idle":
             if prev_active > 0:
                 violations.append(
-                    f"{where}: device idled while {prev_active} admitted "
+                    f"{where()}: device idled while {prev_active} admitted "
                     "request(s) had runnable passes"
                 )
         elif event.kind == "admit":
             if not _close(event.clock_s, prev_clock):
-                violations.append(f"{where}: admission consumed device time")
+                violations.append(f"{where()}: admission consumed device time")
             if event.request_id in in_flight:
-                violations.append(f"{where}: request {event.request_id} admitted twice")
+                violations.append(
+                    f"{where()}: request {event.request_id} admitted twice"
+                )
             elif event.request_id in completed:
                 violations.append(
-                    f"{where}: request {event.request_id} admitted after completion"
+                    f"{where()}: request {event.request_id} admitted after completion"
                 )
             elif event.request_id not in by_id:
-                violations.append(f"{where}: admitted unknown request {event.request_id}")
+                violations.append(
+                    f"{where()}: admitted unknown request {event.request_id}"
+                )
             else:
                 in_flight.add(event.request_id)
                 prefill_tokens[event.request_id] = 0
@@ -347,34 +365,36 @@ def _replay(
                     expected = ledger.commit_pages(request)
                     if event.tokens != expected:
                         violations.append(
-                            f"{where}: request {event.request_id} committed "
+                            f"{where()}: request {event.request_id} committed "
                             f"{event.tokens} page(s), expected {expected}"
                         )
                     ledger.admit(request)
         elif event.kind == "step":
             if event.latency_s <= 0.0:
-                violations.append(f"{where}: step with non-positive latency")
+                violations.append(f"{where()}: step with non-positive latency")
             if event.request_id is None and not event.decode_ids:
-                violations.append(f"{where}: step scheduled no work")
+                violations.append(f"{where()}: step scheduled no work")
             start = event.clock_s - event.latency_s
             if prev_active > 0 and not _close(start, prev_clock):
                 violations.append(
-                    f"{where}: idle gap of {start - prev_clock:.9f}s while "
+                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
                     f"{prev_active} request(s) were in flight"
                 )
             if event.request_id is not None:
                 if event.request_id not in in_flight:
                     violations.append(
-                        f"{where}: prefilled request {event.request_id} "
+                        f"{where()}: prefilled request {event.request_id} "
                         "before admission"
                     )
                 elif event.request_id in swapped:
                     violations.append(
-                        f"{where}: prefilled request {event.request_id} "
+                        f"{where()}: prefilled request {event.request_id} "
                         "while its pages were swapped out"
                     )
                 elif event.tokens < 1:
-                    violations.append(f"{where}: prefill chunk of {event.tokens} tokens")
+                    violations.append(
+                        f"{where()}: prefill chunk of {event.tokens} tokens"
+                    )
                 else:
                     prefill_tokens[event.request_id] += event.tokens
                     request = by_id.get(event.request_id)
@@ -383,19 +403,19 @@ def _replay(
                         and prefill_tokens[event.request_id] > request.input_tokens
                     ):
                         violations.append(
-                            f"{where}: request {event.request_id} prefilled "
+                            f"{where()}: request {event.request_id} prefilled "
                             f"{prefill_tokens[event.request_id]} tokens of a "
                             f"{request.input_tokens}-token prompt"
                         )
             for decode_id in event.decode_ids:
                 if decode_id not in in_flight:
                     violations.append(
-                        f"{where}: decoded request {decode_id} before admission"
+                        f"{where()}: decoded request {decode_id} before admission"
                     )
                     continue
                 if decode_id in swapped:
                     violations.append(
-                        f"{where}: decoded request {decode_id} while its "
+                        f"{where()}: decoded request {decode_id} while its "
                         "pages were swapped out"
                     )
                     continue
@@ -405,7 +425,7 @@ def _replay(
                     and prefill_tokens.get(decode_id, 0) < request.input_tokens
                 ):
                     violations.append(
-                        f"{where}: decoded request {decode_id} before its "
+                        f"{where()}: decoded request {decode_id} before its "
                         "prefill completed"
                     )
                 decode_steps[decode_id] = decode_steps.get(decode_id, 0) + 1
@@ -413,7 +433,7 @@ def _replay(
                     ledger.decode(request, decode_steps[decode_id])
             if event.request_id is not None and event.request_id in event.decode_ids:
                 violations.append(
-                    f"{where}: request {event.request_id} prefilled and "
+                    f"{where()}: request {event.request_id} prefilled and "
                     "decoded in the same step"
                 )
             if track_models:
@@ -425,15 +445,15 @@ def _replay(
                     model = _model_of(request)
                     if request is not None and model != resident:
                         violations.append(
-                            f"{where}: request {rid} targets model "
+                            f"{where()}: request {rid} targets model "
                             f"{model!r} but {resident!r} was resident"
                         )
         elif event.kind == "preempt":
             if not _close(event.clock_s, prev_clock):
-                violations.append(f"{where}: preemption consumed device time")
+                violations.append(f"{where()}: preemption consumed device time")
             if event.request_id not in in_flight:
                 violations.append(
-                    f"{where}: preempted request {event.request_id} that was "
+                    f"{where()}: preempted request {event.request_id} that was "
                     "not in flight"
                 )
             else:
@@ -450,27 +470,27 @@ def _replay(
                     released = ledger.release(event.request_id)
                     if event.tokens != released:
                         violations.append(
-                            f"{where}: preemption of request "
+                            f"{where()}: preemption of request "
                             f"{event.request_id} released {event.tokens} "
                             f"page(s) but it held {released}"
                         )
         elif event.kind == "swap_out":
             if event.latency_s < 0.0:
-                violations.append(f"{where}: swap-out with negative latency")
+                violations.append(f"{where()}: swap-out with negative latency")
             start = event.clock_s - event.latency_s
             if prev_active > 0 and not _close(start, prev_clock):
                 violations.append(
-                    f"{where}: idle gap of {start - prev_clock:.9f}s while "
+                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
                     f"{prev_active} request(s) were in flight"
                 )
             if event.request_id not in in_flight:
                 violations.append(
-                    f"{where}: swapped out request {event.request_id} that "
+                    f"{where()}: swapped out request {event.request_id} that "
                     "was not in flight"
                 )
             elif event.request_id in swapped:
                 violations.append(
-                    f"{where}: request {event.request_id} swapped out twice"
+                    f"{where()}: request {event.request_id} swapped out twice"
                 )
             else:
                 swapped.add(event.request_id)
@@ -480,22 +500,22 @@ def _replay(
                     moved = ledger.swap_out(event.request_id)
                     if event.tokens != moved:
                         violations.append(
-                            f"{where}: swap-out of request "
+                            f"{where()}: swap-out of request "
                             f"{event.request_id} moved {event.tokens} "
                             f"page(s) but it held {moved}"
                         )
         elif event.kind == "swap_in":
             if event.latency_s < 0.0:
-                violations.append(f"{where}: swap-in with negative latency")
+                violations.append(f"{where()}: swap-in with negative latency")
             start = event.clock_s - event.latency_s
             if prev_active > 0 and not _close(start, prev_clock):
                 violations.append(
-                    f"{where}: idle gap of {start - prev_clock:.9f}s while "
+                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
                     f"{prev_active} request(s) were in flight"
                 )
             if event.request_id not in swapped:
                 violations.append(
-                    f"{where}: swapped in request {event.request_id} that "
+                    f"{where()}: swapped in request {event.request_id} that "
                     "was not swapped out"
                 )
             else:
@@ -504,22 +524,24 @@ def _replay(
                     moved = ledger.swap_in(event.request_id)
                     if event.tokens != moved:
                         violations.append(
-                            f"{where}: swap-in of request "
+                            f"{where()}: swap-in of request "
                             f"{event.request_id} restored {event.tokens} "
                             f"page(s) but its host copy held {moved}"
                         )
         elif event.kind == "complete":
             if not _close(event.clock_s, prev_clock):
-                violations.append(f"{where}: completion consumed device time")
+                violations.append(f"{where()}: completion consumed device time")
             if event.request_id in completed:
-                violations.append(f"{where}: request {event.request_id} completed twice")
+                violations.append(
+                    f"{where()}: request {event.request_id} completed twice"
+                )
             elif event.request_id not in in_flight:
                 violations.append(
-                    f"{where}: request {event.request_id} completed without admission"
+                    f"{where()}: request {event.request_id} completed without admission"
                 )
             elif event.request_id in swapped:
                 violations.append(
-                    f"{where}: request {event.request_id} completed while "
+                    f"{where()}: request {event.request_id} completed while "
                     "its pages were swapped out"
                 )
             else:
@@ -545,22 +567,22 @@ def _replay(
                     ledger.release(event.request_id)
         elif event.kind == "model_swap":
             if event.latency_s < 0.0:
-                violations.append(f"{where}: model swap with negative latency")
+                violations.append(f"{where()}: model swap with negative latency")
             start = event.clock_s - event.latency_s
             if prev_active > 0 and not _close(start, prev_clock):
                 violations.append(
-                    f"{where}: idle gap of {start - prev_clock:.9f}s while "
+                    f"{where()}: idle gap of {start - prev_clock:.9f}s while "
                     f"{prev_active} request(s) were in flight"
                 )
             if event.tokens <= 0:
                 violations.append(
-                    f"{where}: model swap streamed {event.tokens} weight byte(s)"
+                    f"{where()}: model swap streamed {event.tokens} weight byte(s)"
                 )
             if not event.model:
-                violations.append(f"{where}: model swap names no model")
+                violations.append(f"{where()}: model swap names no model")
             elif event.model == resident:
                 violations.append(
-                    f"{where}: model swap to the already-resident model "
+                    f"{where()}: model swap to the already-resident model "
                     f"{event.model!r} (a swap must change the active model)"
                 )
             else:
@@ -571,12 +593,12 @@ def _replay(
                 claimed = ", ".join(str(rid) for rid in sorted(dropped)) or "-"
                 held = ", ".join(str(rid) for rid in sorted(in_flight)) or "-"
                 violations.append(
-                    f"{where}: failure dropped request(s) {claimed} but "
+                    f"{where()}: failure dropped request(s) {claimed} but "
                     f"{held} were in flight"
                 )
             if ledger is not None and event.tokens != ledger.reserved:
                 violations.append(
-                    f"{where}: failure dropped {event.tokens} page(s) but "
+                    f"{where()}: failure dropped {event.tokens} page(s) but "
                     f"the replica held {ledger.reserved}"
                 )
             for rid in in_flight:
@@ -591,25 +613,25 @@ def _replay(
         elif event.kind == "recover":
             if not dead:
                 violations.append(
-                    f"{where}: recovery without a preceding failure"
+                    f"{where()}: recovery without a preceding failure"
                 )
             dead = False
         elif event.kind == "scale":
             if event.tokens == 1:
                 if index != 0:
                     violations.append(
-                        f"{where}: scale-up marker must be the replica's "
+                        f"{where()}: scale-up marker must be the replica's "
                         "first event"
                     )
                 else:
                     scale_up_first = True
             elif event.tokens != -1:
                 violations.append(
-                    f"{where}: scale event must carry +1 (spawn) or "
+                    f"{where()}: scale event must carry +1 (spawn) or "
                     f"-1 (drain), got {event.tokens}"
                 )
         else:
-            violations.append(f"{where}: unknown event kind {event.kind!r}")
+            violations.append(f"{where()}: unknown event kind {event.kind!r}")
 
         # The ledger must agree with every reported reservation.  Preempt
         # and swap-out events are exempt from the *equality* check only
@@ -623,7 +645,7 @@ def _replay(
             and event.kv_reserved_pages != ledger.reserved
         ):
             violations.append(
-                f"{where}: page ledger mismatch — event reports "
+                f"{where()}: page ledger mismatch — event reports "
                 f"{event.kv_reserved_pages} reserved page(s), replay holds "
                 f"{ledger.reserved}"
             )

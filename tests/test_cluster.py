@@ -530,6 +530,62 @@ class TestClusterPlumbing:
         ]
         assert cluster_kv_peak(logs) == 6
 
+    @staticmethod
+    def _resummed_kv_peak(event_logs):
+        """Reference formula: re-sum every replica's level at each event."""
+        merged = sorted(
+            (event.clock_s, replica, sequence, event.kv_reserved_pages)
+            for replica, events in enumerate(event_logs)
+            for sequence, event in enumerate(events)
+        )
+        current = [0] * len(event_logs)
+        peak = 0
+        for _, replica, _, reserved in merged:
+            current[replica] = reserved
+            peak = max(peak, sum(current))
+        return peak
+
+    def test_cluster_kv_peak_matches_resum_on_staggered_peaks(self):
+        # Replica 0 peaks at t=1.5, replica 1 at t=2.5 and replica 2 at
+        # t=2.0, tied with replica 0's drain: the tie breaks by replica
+        # index, so the cluster never holds 9 + 4 + 6 at once and the peak
+        # is 13, well under the 23 of the summed per-replica peaks.
+        def log(points):
+            return [
+                SimEvent(kind="step", clock_s=t, latency_s=1e-9,
+                         kv_reserved_pages=r, kv_total_pages=20)
+                for t, r in points
+            ]
+
+        logs = [
+            log([(0.5, 2), (1.5, 9), (2.0, 0), (3.0, 3)]),
+            log([(1.0, 4), (2.5, 8), (3.5, 1)]),
+            log([(2.0, 6), (2.0, 2), (4.0, 0)]),
+        ]
+        assert cluster_kv_peak(logs) == self._resummed_kv_peak(logs) == 13
+
+    def test_cluster_kv_peak_matches_resum_on_a_recorded_log(self):
+        generator = get_trace_generator("chatbot")
+        trace = generator.generate(
+            60, 400.0, seed=3, prefix_share=0.5, prefix_tokens=32
+        )
+        accountant = KvPageAccountant.for_backend(LinearCostModel(), MODEL)
+        worst = accountant.token_bytes * max(
+            w.total_tokens for w in generator.workloads
+        )
+        cluster = ClusterSimulator(
+            LinearCostModel(), MODEL, num_replicas=3, router="kv-aware",
+            policy="interleaved", admission="optimistic", swap=True,
+            kv_budget=3 * worst,
+        )
+        pooled = cluster.simulate(trace, record_events=True)
+        assert len(cluster.events) == 3
+        assert all(cluster.events)
+        assert pooled.swap_outs > 0
+        peak = cluster_kv_peak(cluster.events)
+        assert peak == self._resummed_kv_peak(cluster.events)
+        assert peak == pooled.kv_peak_pages
+
     def test_pooled_metrics_report_cluster_kv_peak(self):
         trace = get_trace_generator("chatbot").generate(12, 40.0, seed=1)
         cluster = ClusterSimulator(

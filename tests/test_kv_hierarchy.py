@@ -3,11 +3,13 @@
 Three layers of evidence for PR 9's accountant extension:
 
 * a hypothesis property suite drives random interleavings of
-  reserve/share/grow/swap-out/swap-in/preempt/release against a
-  transparent page model re-derived from first principles — the
-  accountant's books must match after every single operation, refcounts
+  reserve/share/grow/swap-out/swap-in/preempt/release/adopt/release-all
+  against a transparent page model re-derived from first principles — the
+  accountant's books must match after every single operation, its O(1)
+  counters must equal the per-request holdings re-summed, refcounts
   never go negative, and draining everything always returns the pool to
-  exactly zero reserved pages;
+  exactly zero reserved pages (a second suite holds the replay ledger's
+  running total to the same re-sum);
 * tampered-ledger oracles prove the *checker* catches forged shares and
   deleted swap events (an oracle nobody has tested is not an oracle);
 * engine and trace pins: a ``prefix_share=0`` trace is identical to one
@@ -22,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.costmodel import PassCost, make_cost_model
 from repro.energy.model import EnergyBreakdown
@@ -30,10 +32,12 @@ from repro.models import GPT2_CONFIGS
 from repro.models.workload import Stage
 from repro.serving import (
     KvPageAccountant,
+    Request,
     ServingSimulator,
     check_invariants,
     get_trace_generator,
 )
+from repro.serving.validate import _Ledger
 
 MODEL = GPT2_CONFIGS["m"]
 
@@ -111,6 +115,25 @@ class _PageModel:
         )
 
 
+def _check_counters(accountant: KvPageAccountant, request_ids) -> None:
+    """The O(1) counters equal the per-request holdings re-summed.
+
+    ``request_ids`` must cover every id ever reserved or adopted, so a
+    holding leaked into the books is summed (and caught) too.
+    """
+    resident = sum(accountant.held_pages(rid) for rid in request_ids)
+    shared = sum(
+        accountant.resident_prefix_pages(pid) for pid in PREFIX_TOKENS
+    )
+    swapped = sum(
+        accountant.request_swapped_pages(rid) for rid in request_ids
+    )
+    assert accountant.reserved_pages == resident + shared
+    assert accountant.swapped_pages == swapped
+    assert accountant.free_pages == accountant.total_pages - resident - shared
+    assert accountant.peak_reserved_pages >= accountant.reserved_pages
+
+
 def _check_books(accountant: KvPageAccountant, model: _PageModel) -> None:
     assert accountant.reserved_pages == model.reserved()
     assert accountant.swapped_pages == model.swapped_pages()
@@ -126,10 +149,13 @@ def _check_books(accountant: KvPageAccountant, model: _PageModel) -> None:
 
 @given(
     ops=st.lists(
-        st.tuples(st.integers(0, 5), st.integers(0, 2**20)),
+        st.tuples(st.integers(0, 7), st.integers(0, 2**20)),
         max_size=60,
     )
 )
+# A failure while a request sits in host DRAM, then an adoption and a
+# failure with a shared prefix resident.
+@example(ops=[(0, 0), (2, 0), (7, 0), (6, 5), (0, 4), (7, 0)])
 @settings(max_examples=200, deadline=None)
 def test_random_interleavings_balance_the_books(ops):
     accountant = KvPageAccountant(
@@ -190,12 +216,22 @@ def test_random_interleavings_balance_the_books(ops):
             freed = accountant.release(rid)
             del model.members[rid]
             assert freed == before - model.reserved()
+        elif op == 6:  # take over a holding kept outside the accountant
+            pages = value % (accountant.free_pages + 1)
+            assert accountant.adopt(next_rid, pages) == pages
+            model.members[next_rid] = [pages * model.page_tokens, -1, False]
+            next_rid += 1
+        elif op == 7:  # replica failure: every page and host copy dropped
+            assert accountant.release_all() == model.reserved()
+            model.members.clear()
         _check_books(accountant, model)
+        _check_counters(accountant, range(next_rid))
     # Draining everything always returns the pool to exactly zero.
     for rid in sorted(model.members):
         accountant.release(rid)
         del model.members[rid]
         _check_books(accountant, model)
+        _check_counters(accountant, range(next_rid))
     assert accountant.reserved_pages == 0
     assert accountant.swapped_pages == 0
     assert accountant.free_pages == accountant.total_pages
@@ -245,6 +281,74 @@ def test_swap_keeps_shared_pages_resident():
     assert accountant.can_swap_in(0)
     assert accountant.swap_in(0) == 2
     assert accountant.swapped_pages == 0
+
+
+def test_adopt_takes_over_a_holding_and_guards_the_pool():
+    accountant = KvPageAccountant(
+        budget_bytes=10 * 4 * 64, token_bytes=64, page_tokens=4
+    )
+    assert accountant.adopt(0, 3) == 3
+    assert accountant.held_pages(0) == 3
+    assert accountant.reserved_pages == accountant.peak_reserved_pages == 3
+    # An adopted holding grows and releases like any reservation.
+    assert accountant.grow(0, 16) == 1
+    with pytest.raises(ValueError, match="already holds"):
+        accountant.adopt(0, 1)
+    with pytest.raises(ValueError, match="over-subscription"):
+        accountant.adopt(1, 7)
+    assert accountant.release(0) == 4
+    assert accountant.reserved_pages == 0
+    assert accountant.peak_reserved_pages == 4
+
+
+# ----------------------------------------------------------------------
+# Property suite: the replay ledger's running total
+# ----------------------------------------------------------------------
+def _ledger_requests() -> "list[Request]":
+    """Eight shapes: private and both prefix groups, short and long."""
+    return [
+        Request(
+            request_id=rid,
+            arrival_s=0.0,
+            input_tokens=13 + 3 * rid,
+            output_tokens=1 + 5 * rid,
+            prefix_id=rid % 3 - 1,
+            prefix_tokens=PREFIX_TOKENS.get(rid % 3 - 1, 0),
+        )
+        for rid in range(8)
+    ]
+
+
+@given(
+    admission=st.sampled_from(("worst-case", "optimistic")),
+    ops=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(1, 40)),
+        max_size=80,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_ledger_reserved_matches_resum(admission, ops):
+    # Any op order, legal or not: a forged log can drive the replay
+    # through all of them, and the total must still be the re-sum.
+    ledger = _Ledger(page_tokens=4, admission=admission)
+    requests = _ledger_requests()
+    for op, index, step in ops:
+        request = requests[index]
+        if op == 0:
+            ledger.admit(request)
+        elif op == 1:
+            ledger.decode(request, step)
+        elif op == 2:
+            ledger.swap_out(request.request_id)
+        elif op == 3:
+            ledger.swap_in(request.request_id)
+        elif op == 4:
+            ledger.release(request.request_id)
+        else:  # replica failure
+            ledger.clear()
+        assert ledger.reserved == sum(ledger.held.values()) + sum(
+            pages for pages, _refcount in ledger.groups.values()
+        )
 
 
 # ----------------------------------------------------------------------
