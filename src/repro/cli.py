@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "core; same metrics, much faster)")
     serve.add_argument("--profile", action="store_true",
                        help="print per-phase wall time (trace generation, "
-                            "admit, prefill, decode, metrics); single "
-                            "replica only")
+                            "admit, prefill, decode, metrics), pooled over "
+                            "replicas, and on the array engine the decode "
+                            "passes each engine path served")
     serve.add_argument("--validate", action="store_true",
                        help="replay the event log through the scheduling-"
                             "invariant checker; exit nonzero on violation")
@@ -665,9 +666,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.profile:
         if cluster is not None:
             phases = cluster.pooled_phase_s()
+            passes = cluster.pooled_path_passes()
             scope = f"{args.engine}, pooled x{metrics.num_replicas}"
         else:
             phases = simulator.last_run.phase_s
+            passes = getattr(simulator.last_run, "path_passes", {})
             scope = args.engine
         names = [
             name
@@ -678,6 +681,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         total = trace_gen_s + sum(phases.values())
         print(f"profile [{scope}] : trace-gen {trace_gen_s:.3f}s | "
               f"{breakdown} | total {total:.3f}s")
+        if passes:
+            counts = " | ".join(
+                f"{name} {count}" for name, count in passes.items()
+            )
+            print(f"decode passes   : {counts}")
     stats = backend.cache_stats()
     if stats:
         print(f"pass-cost cache : {stats.get('hits', 0)} hits / "
@@ -792,7 +800,9 @@ def _run_list() -> int:
         ("co-hosted model set (--models)", "yes", "yes (per-iteration, fast paths stand down)"),
         ("tenant shares (--tenant-slo)", "yes", "yes"),
         ("arrival-batched underload path", "no", "yes (events off, no sharing/swap)"),
-        ("phase profile (--profile)", "yes", "yes"),
+        ("decode runs (fixed all-decode batch)", "no",
+         "yes (where macro steps stand down)"),
+        ("phase profile (--profile)", "yes", "yes (+ decode passes by path)"),
     ]
     width = max(len(row[0]) for row in rows)
     for feature, object_support, array_support in rows:

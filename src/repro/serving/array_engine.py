@@ -36,19 +36,34 @@ longer fits (which falls back to one per-iteration step so preemption
 runs the reference path).  Prefix-sum differences reorder float
 additions, which is why macro-stepped aggregate metrics are pinned to
 ~1e-9 instead of bit-identical; ``record_events=True`` disables
-macro-stepping, and the per-iteration path then yields an event log
-**bit-identical** to the object engine's (the differential suite asserts
-exact equality).
+macro-stepping, and passes then run one at a time — through decode runs
+and ``_step`` — with an event log **bit-identical** to the object
+engine's (the differential suite asserts exact equality).
+
+**Decode runs.**  Wherever macro-stepping stands down (event logs,
+exact accounting, model sets, tables whose fused floors can bind), a
+batch whose eligible rows all decode, with the admission gate shut (a
+full batch, or nothing queued or swapped), stays the same batch pass
+after pass.  ``_decode_run`` picks it once and iterates it in one tight
+loop: the same table entries and ``_fused_scalar`` in the same order as
+``_step`` (so every float and every ``step`` event is bit-identical,
+the run's events sharing one ``decode_ids`` tuple), KV pages granted
+only where a row crosses a page boundary.  It stops before the pass at
+which the next arrival or ``until`` is reached, after the pass that
+completes a row, and before a page grant that does not fit — ``_step``
+then runs the preempt/swap reference path.  On an event-logged
+every-feature cluster it serves over 99% of the decode passes.
 
 **Exact-accounting fallback.**  Shared-prefix requests (``prefix_id >=
 0``) and the host-DRAM swap tier need the real reference-counted
 :class:`~repro.serving.kv_memory.KvPageAccountant` — integer counters
 cannot express "these pages are held once for many requests" or "these
 pages are parked off-device".  The run then keeps the accountant as
-``self.kv``, the vectorized fast paths (absorption, bursts,
-macro-stepping) stand down, and the per-iteration loop mirrors the
-object engine operation for operation, so event logs stay bit-identical
-there too.  Traces with no sharing and no swap never pay for any of it.
+``self.kv``; the closed-form fast paths (absorption, bursts,
+macro-stepping) stand down and passes run one at a time, through decode
+runs and a ``_step`` that mirrors the object engine operation for
+operation, so event logs stay bit-identical there too.  Traces with no
+sharing and no swap never pay for any of it.
 """
 
 from __future__ import annotations
@@ -267,6 +282,14 @@ class ArraySimulationRun(_RunBase):
             "metrics": 0.0,
         }
         self._step_kind = "decode"
+        #: Decode passes by the engine path that served them, filled only
+        #: when ``sim.profile`` is set (the counts sum to ``decode_passes``).
+        self.path_passes: dict[str, int] = {
+            "absorb": 0,
+            "macro": 0,
+            "run": 0,
+            "step": 0,
+        }
 
         policy = sim.policy
         self._ptype = type(policy)
@@ -928,9 +951,9 @@ class ArraySimulationRun(_RunBase):
                 # exact per-arrival machinery.
                 if absorb_ok and pending:
                     if profile:
-                        start = perf_counter()
-                        progressed = self._absorb_arrivals(until)
-                        self.phase_s["absorb"] += perf_counter() - start
+                        progressed = self._profiled(
+                            "absorb", "absorb", self._absorb_arrivals, until
+                        )
                     else:
                         progressed = self._absorb_arrivals(until)
                     if progressed:
@@ -947,9 +970,7 @@ class ArraySimulationRun(_RunBase):
             # be a no-op, and this loop runs once per pass.
             if (waiting or swapped) and len(active) < cap:
                 if profile:
-                    start = perf_counter()
-                    self._admit()
-                    self.phase_s["admit"] += perf_counter() - start
+                    self._profiled("admit", None, self._admit)
                 else:
                     self._admit()
             if not active:
@@ -961,19 +982,46 @@ class ArraySimulationRun(_RunBase):
             # a floor-free table advance many iterations in O(B).
             if macro_ok and not self._num_prefilling:
                 if profile:
-                    start = perf_counter()
-                    stepped = self._macro_step(until)
-                    self.phase_s["decode"] += perf_counter() - start
+                    stepped = self._profiled(
+                        "decode", "macro", self._macro_step, until
+                    )
                 else:
                     stepped = self._macro_step(until)
                 if stepped:
                     continue
+            # Decode runs: a fixed all-decode batch iterated pass by pass
+            # (the per-iteration twin of the macro step, for runs where
+            # closed-form stepping stands down), taken while the admission
+            # gate above stays shut: a full batch or nothing to admit.
+            if not macro_ok and (
+                len(active) >= cap or not (waiting or swapped)
+            ):
+                if profile:
+                    stepped = self._profiled(
+                        "decode", "run", self._decode_run, until
+                    )
+                else:
+                    stepped = self._decode_run(until)
+                if stepped:
+                    continue
             if profile:
-                start = perf_counter()
-                self._step()
-                self.phase_s[self._step_kind] += perf_counter() - start
+                self._profiled(None, "step", self._step)
             else:
                 self._step()
+
+    def _profiled(
+        self, phase: "str | None", path: "str | None", method, *args
+    ):
+        """Call ``method`` for ``--profile``: charge its wall time to
+        ``phase_s[phase]`` (the step's own kind when ``phase`` is None)
+        and the decode passes it served to ``path_passes[path]``."""
+        start = perf_counter()
+        passes = self.decode_passes
+        result = method(*args)
+        self.phase_s[phase or self._step_kind] += perf_counter() - start
+        if path is not None:
+            self.path_passes[path] += self.decode_passes - passes
+        return result
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
@@ -1362,6 +1410,161 @@ class ArraySimulationRun(_RunBase):
             self.active.remove(row)
             self._release_pages(row)
             self._record_completion(row)
+
+    # ------------------------------------------------------------------
+    def _decode_run(self, until: "float | None") -> bool:
+        """Iterate one fixed all-decode batch pass by pass.
+
+        With the admission gate shut (a full batch, or nothing queued or
+        swapped) and every eligible row decoding, ``_step`` picks the same
+        batch pass after pass until a row completes, an arrival lands or
+        a KV grant fails.  This loop picks it once and repeats ``_step``'s
+        float operations in the same order (the same table entries, the
+        same ``_fused_scalar``), so clock, energies and the ``step``
+        events are bit-identical.  Each row keeps the tokens its held
+        pages cover, so pages are granted only at page boundaries.
+
+        Returns ``True`` after the pass that completes a row or before the
+        pass at which the next arrival or ``until`` is reached (the
+        caller's loop then re-examines the queues), ``False`` when the
+        next pass must run through ``_step``: a prefilling or missing
+        eligible row, an ``srpt`` batch over the cap, or a grant that does
+        not fit (``_step`` runs the preempt/swap reference path).
+        """
+        active = self.active
+        generated = self._generated
+        if self._multi:
+            resident = self.resident_model
+            mdl = self._mdl
+            default = self.sim.model.name
+            eligible = [
+                row for row in active if (mdl[row] or default) == resident
+            ]
+            if not eligible or 0 in [generated[row] for row in eligible]:
+                return False
+        elif self._num_prefilling:
+            return False
+        else:
+            eligible = active
+        if self._ptype is SrptPolicy and len(eligible) > self._policy_cap:
+            return False
+        batch = self._decode_batch(eligible)
+        kv = self.kv
+        inp, out, rid = self._inp, self._out, self._rid
+        page_tokens = self._page_tokens
+        size = len(batch)
+        base = [inp[row] + generated[row] for row in batch]
+        # Passes until the first completion: the run's last pass.
+        left = min(out[row] - generated[row] for row in batch)
+        # First pass index at which some row outgrows its held pages.
+        grant_at = left
+        optimistic = self._optimistic
+        if optimistic:
+            if self._exact_kv:
+                covered = [
+                    (kv.held_pages(rid[row]) + kv.shared_held_pages(rid[row]))
+                    * page_tokens
+                    for row in batch
+                ]
+            else:
+                held = self._held
+                covered = [held[row] * page_tokens for row in batch]
+            grant_at = min(c - b for c, b in zip(covered, base)) + 1
+        lo, hi = self._tbl_lo, self._tbl_hi
+        span = hi - lo + 1
+        if span > 0:
+            lat, em, ep, en = self._lat, self._em, self._ep, self._en
+            fl = self._fl
+        decode_cost = self._decode_cost
+        events = self.events
+        decode_ids = tuple(rid[row] for row in batch)
+        num_active, num_waiting = len(active), len(self.waiting)
+        reserved, total_pages = kv.reserved_pages, kv.total_pages
+        stop = float("inf") if until is None else until
+        if self.pending and self._arr[self.pending[0]] < stop:
+            stop = self._arr[self.pending[0]]
+        clock, busy = self.clock, self.busy
+        energy_mem, energy_pim = self._energy_mem, self._energy_pim
+        energy_npu, flops = self._energy_npu, self.flops
+        k = 0
+        while True:
+            if k >= grant_at:
+                need = 0
+                for c, b in zip(covered, base):
+                    if b + k > c:
+                        need += -(-(b + k) // page_tokens) - c // page_tokens
+                if need > kv.free_pages:
+                    break
+                for i, row in enumerate(batch):
+                    tokens = base[i] + k
+                    if tokens > covered[i]:
+                        pages = -(-tokens // page_tokens)
+                        if self._exact_kv:
+                            kv.grow(rid[row], tokens)
+                        else:
+                            kv.commit(pages - held[row])
+                            held[row] = pages
+                        covered[i] = pages * page_tokens
+                reserved = kv.reserved_pages
+                grant_at = min(c - b for c, b in zip(covered, base)) + 1
+            if size == 1:
+                index = base[0] + k - lo
+                if 0 <= index < span:
+                    latency = lat[index]
+                    e_mem, e_pim, e_npu = em[index], ep[index], en[index]
+                    pass_flops = fl[index]
+                else:
+                    latency, e_mem, e_pim, e_npu, pass_flops = decode_cost(
+                        base[0] + k
+                    )
+            else:
+                costs = []
+                for b in base:
+                    index = b + k - lo
+                    if 0 <= index < span:
+                        costs.append((
+                            lat[index], em[index], ep[index], en[index],
+                            fl[index],
+                        ))
+                    else:
+                        costs.append(decode_cost(b + k))
+                latency, e_mem, e_pim, e_npu, pass_flops = self._fused_scalar(
+                    None, costs
+                )
+            clock += latency
+            busy += latency
+            energy_mem += e_mem
+            energy_pim += e_pim
+            energy_npu += e_npu
+            flops += pass_flops
+            k += 1
+            if events is not None:
+                events.append(
+                    SimEvent(
+                        "step", clock, latency, None, 0, decode_ids,
+                        num_active, num_waiting, reserved, total_pages,
+                    )
+                )
+            if k == left or clock >= stop:
+                break
+        self.clock, self.busy = clock, busy
+        self._energy_mem, self._energy_pim = energy_mem, energy_pim
+        self._energy_npu, self.flops = energy_npu, flops
+        self.decode_passes += k
+        self.decode_tokens += k * size
+        self._outstanding -= k * size
+        for row in batch:
+            generated[row] += k
+        if k == left:
+            for row in batch:
+                if generated[row] >= out[row]:
+                    active.remove(row)
+                    self._release_pages(row)
+                    self._record_completion(row)
+                    self._emit("complete", request_id=rid[row])
+            return True
+        # Short of the stop, the loop only breaks on a grant that did not fit.
+        return clock >= stop
 
     # ------------------------------------------------------------------
     def _macro_step(self, until: "float | None") -> bool:

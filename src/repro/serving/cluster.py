@@ -903,11 +903,22 @@ class ClusterSimulator:
         (``repro serve --profile`` arranges this); phases absent from an
         engine are simply missing from the dict.
         """
-        pooled: dict[str, float] = {}
-        for run in getattr(self, "_last_runs", ()):
-            for name, seconds in getattr(run, "phase_s", {}).items():
-                pooled[name] = pooled.get(name, 0.0) + seconds
+        pooled = self._pooled("phase_s")
         pooled["route"] = getattr(self, "route_s", 0.0)
+        return pooled
+
+    def pooled_path_passes(self) -> dict[str, int]:
+        """Decode passes of the last ``simulate()`` by the engine path that
+        served them, pooled across replicas (counted only when the
+        replicas were built with ``profile=True``; empty on the object
+        engine, which has one path)."""
+        return self._pooled("path_passes")
+
+    def _pooled(self, attribute: str) -> dict:
+        pooled: dict = {}
+        for run in getattr(self, "_last_runs", ()):
+            for name, value in getattr(run, attribute, {}).items():
+                pooled[name] = pooled.get(name, 0) + value
         return pooled
 
     def validate_invariants(self) -> list[str]:

@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from repro.models import GPT2_CONFIGS
+from repro.core.costmodel import make_cost_model
+from repro.models import GPT2_CONFIGS, get_model
 from repro.serving import (
     AUTOSCALERS,
     FAILURE_SCHEDULES,
@@ -41,6 +42,7 @@ from repro.serving import (
     make_autoscaler,
     make_failure_schedule,
     make_trace_curve,
+    mean_service_time_s,
     replica_warmup_s,
 )
 from repro.serving.cluster import ReplicaSnapshot
@@ -485,6 +487,42 @@ class TestAutoscaling:
         assert metrics.num_requests == len(trace)
         assert metrics.output_tokens == sum(r.output_tokens for r in trace)
         assert cluster.validate_invariants() == []
+
+
+class TestEveryFeatureClusterDifferential:
+    """The array engine under failure injection, pinned to the object
+    engine: three kv-aware replicas with optimistic admission, swap, 50%
+    prefix sharing, two co-hosted models, seeded failures and queue-depth
+    autoscaling, events on (the perfbench ``features-evented`` cell at a
+    few hundred requests)."""
+
+    def test_engines_match_byte_for_byte_and_replay_clean(self):
+        backend = make_cost_model("ianus")
+        model = get_model("gpt2-m")
+        models = (model, get_model("gemma-1b"))
+        generator = get_trace_generator("chatbot")
+        rate = 3 * 0.8 / mean_service_time_s(backend, model, generator.workloads)
+        trace = generator.generate(
+            300, rate, seed=1, prefix_share=0.5,
+            model_mix=[(member.name, 1.0) for member in models],
+        )
+        results = {}
+        for engine in ("object", "array"):
+            cluster = ClusterSimulator(
+                backend, model, num_replicas=3, router="kv-aware",
+                policy="interleaved", max_batch=16, admission="optimistic",
+                swap=True, kv_fraction=0.06, models=models,
+                failures="seeded", autoscaler="queue-depth", engine=engine,
+            )
+            metrics = cluster.simulate(trace, record_events=True)
+            assert cluster.validate_invariants() == []
+            results[engine] = (
+                cluster.events, json.dumps(metrics.to_dict(), sort_keys=True)
+            )
+        assert results["array"] == results["object"]
+        assert metrics.failures > 0
+        assert metrics.swap_outs > 0
+        assert metrics.model_swaps > 0
 
 
 # ======================================================================

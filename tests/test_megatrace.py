@@ -12,6 +12,8 @@ and the CLI/cluster/experiment surfaces of the ``engine`` knob.
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import pytest
 
@@ -338,13 +340,33 @@ class TestServeCliEngine:
         assert code == 0
         assert "invariants      : OK" in capsys.readouterr().out
 
-    def test_profile_prints_phase_breakdown(self, capsys):
+    def test_profile_prints_phase_breakdown(self, capsys, tmp_path):
         code = main([*self.ARGS, "--engine", "array", "--profile"])
         assert code == 0
         out = capsys.readouterr().out
         assert "profile [array]" in out
         for phase in ("trace-gen", "admit", "prefill", "decode", "metrics"):
             assert phase in out
+        # Optimistic + swap stands macro-stepping down: decode runs serve
+        # the passes, their time lands in "decode" and the per-path pass
+        # counts sum to the run's decode passes.
+        report = tmp_path / "metrics.json"
+        code = main([*self.ARGS, "--engine", "array", "--profile", "--swap",
+                     "--json", str(report)])
+        assert code == 0
+        out = capsys.readouterr().out
+        decode_s = float(re.search(r"\| decode (\d+\.\d+)s", out).group(1))
+        assert decode_s > 0
+        counts = dict(
+            (name, int(count))
+            for name, count in re.findall(
+                r"(\w+) (\d+)", out.split("decode passes   : ")[1].splitlines()[0]
+            )
+        )
+        assert counts["run"] > 0
+        assert sum(counts.values()) == json.loads(report.read_text())[
+            "decode_passes"
+        ]
 
     def test_profile_covers_cluster_runs(self, capsys):
         code = main([*self.ARGS, "--engine", "array", "--profile",
